@@ -150,19 +150,19 @@ supervise-smoke:
 	PYTHONPATH=src python -m repro simulate --dataset tiny --out $(SUPERVISE_TMP)/data; \
 	PYTHONPATH=src python -m repro resolve --data $(SUPERVISE_TMP)/data \
 		--workers 0 --out $(SUPERVISE_TMP)/serial.json; \
-	SNAPS_OVERSUBSCRIBE=1 SNAPS_FAULTS='supervise.task.score.t0.a0:worker_crash' \
+	SNAPS_OVERSUBSCRIBE=1 SNAPS_FAULTS='supervise.task.filter.t0.a0:worker_crash' \
 		PYTHONPATH=src python -m repro resolve --data $(SUPERVISE_TMP)/data \
 		--workers 2 --out $(SUPERVISE_TMP)/crash.json \
 		--metrics-out $(SUPERVISE_TMP)/crash-run.json; \
 	cmp $(SUPERVISE_TMP)/serial.json $(SUPERVISE_TMP)/crash.json; \
 	grep -q '"supervise.restarts": 1' $(SUPERVISE_TMP)/crash-run.json; \
-	SNAPS_OVERSUBSCRIBE=1 SNAPS_FAULTS='supervise.task.score.t0.a0:hang:latency_s=30' \
+	SNAPS_OVERSUBSCRIBE=1 SNAPS_FAULTS='supervise.task.filter.t0.a0:hang:latency_s=30' \
 		PYTHONPATH=src python -m repro resolve --data $(SUPERVISE_TMP)/data \
 		--workers 2 --task-timeout 1 --out $(SUPERVISE_TMP)/hang.json \
 		--metrics-out $(SUPERVISE_TMP)/hang-run.json; \
 	cmp $(SUPERVISE_TMP)/serial.json $(SUPERVISE_TMP)/hang.json; \
 	grep -q '"supervise.hung_tasks": 1' $(SUPERVISE_TMP)/hang-run.json; \
-	SNAPS_OVERSUBSCRIBE=1 SNAPS_FAULTS='supervise.task.score.t0.a*:error:times=none' \
+	SNAPS_OVERSUBSCRIBE=1 SNAPS_FAULTS='supervise.task.filter.t0.a*:error:times=none' \
 		PYTHONPATH=src python -m repro resolve --data $(SUPERVISE_TMP)/data \
 		--workers 2 --task-retries 0 --quarantine-dir $(SUPERVISE_TMP)/quarantine \
 		--out $(SUPERVISE_TMP)/poison.json 2>$(SUPERVISE_TMP)/poison.err \

@@ -1,14 +1,18 @@
 """Parallel resolution scaling — speedup and parity per worker count.
 
-Resolves the IOS stand-in with the serial reference path (``workers=0``)
-and the parallel substrate at 1, 2 and 4 workers, reporting wall-clock,
-speedup over serial, and — the property everything else rests on —
-whether each run's entity clusters are identical to serial's.
+Resolves the IOS stand-in with the serial blocking filter
+(``workers=0``) and the parallel blocking substrate at 1, 2 and 4
+workers, reporting wall-clock, speedup over serial, and — the property
+everything else rests on — whether each run's entity clusters are
+identical to serial's.
 
-Worker counts above the machine's CPU count degrade gracefully to the
-in-process parallel pipeline (vectorised MinHash, batch scoring, seeded
-caches), so on a small box the 2- and 4-worker rows mostly measure that
-pipeline rather than fan-out; the speedup there is algorithmic.
+``--workers`` chooses only the blocking-filter pool: every row builds
+``G_D`` with the same inline array pass and runs the same bootstrap and
+merge, so the speedup column measures blocking alone.  Worker counts
+above the machine's CPU count degrade gracefully to the in-process
+pipeline (vectorised MinHash, chunked numpy filters), so on a small box
+the 2- and 4-worker rows mostly measure that pipeline rather than
+fan-out.
 
 Runs standalone (CI's perf-smoke job uses ``--quick``)::
 

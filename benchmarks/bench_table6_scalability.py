@@ -11,6 +11,12 @@ window with ``repro.shard`` at 1/2/4 shards, reporting wall-clock,
 speedup over serial, boundary-pair counts, and — the invariant the
 subsystem exists to keep — whether each shard count's clusters payload
 is byte-identical to the serial one.
+
+The ``workers=0`` reference filters blocking pairs serially but builds
+``G_D`` with the same inline array pass as every other worker count, so
+its timings (and the speedups quoted against it) are lower than those of
+runs made when ``workers=0`` also meant a per-pair graph build with
+unseeded scorer caches.
 """
 
 from __future__ import annotations

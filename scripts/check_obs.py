@@ -67,7 +67,7 @@ def check_trace(path: Path) -> int:
 def check_report(path: Path, expect_profile: bool) -> None:
     report = json.loads(path.read_text(encoding="utf-8"))
     counters = report.get("metrics", {}).get("counters", {})
-    for name in ("parallel.worker.pairs_in", "parallel.worker.pairs_scored"):
+    for name in ("parallel.worker.pairs_in", "parallel.worker.pairs_kept"):
         if counters.get(name, 0) <= 0:
             fail(f"{path}: merged worker counter {name} missing or zero")
     histograms = report.get("metrics", {}).get("histograms", {})

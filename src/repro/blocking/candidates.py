@@ -13,14 +13,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
 
+import numpy as np
+
 from repro.blocking.base import Blocker, block_key_pairs
 from repro.data.records import Dataset, Record
-from repro.data.roles import CENSUS_ROLES, LINKABLE_ROLE_PAIRS, Role
+from repro.data.roles import CENSUS_ROLES, LINKABLE_ROLE_PAIRS, SINGLETON_ROLES, Role
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["CandidatePair", "generate_candidate_pairs", "roles_linkable"]
+__all__ = [
+    "CandidatePair",
+    "RecordTable",
+    "generate_candidate_pairs",
+    "pair_masks",
+    "roles_linkable",
+]
 
 
 @dataclass(frozen=True)
@@ -124,3 +132,94 @@ def generate_candidate_pairs(
         total = len(records) * (len(records) - 1) // 2
         if total:
             metrics.set_gauge("blocking.reduction_ratio", 1.0 - candidates / total)
+
+
+class RecordTable:
+    """Records as integer columns, so the filters above run as numpy masks.
+
+    Gender values and roles are dictionary-encoded; equality between
+    codes is equality between the original values, so every mask of
+    :func:`pair_masks` decides exactly what the per-record predicate
+    decides.  A record whose ``birth_range()`` raises (no ``event_year``,
+    or an unparsable age) is marked ``False`` in ``dated`` and the first
+    such error is kept in ``error``: vectorised filtering re-raises it,
+    and the graph build leaves that record's pairs to the per-record
+    checks, which raise only if they are ever reached.
+    """
+
+    def __init__(self, records: list[Record]) -> None:
+        roles = list(Role)
+        role_of = {role: code for code, role in enumerate(roles)}
+        self.linkable = np.array(
+            [[roles_linkable(a, b) for b in roles] for a in roles], dtype=bool
+        )
+        self.singleton_role = np.array(
+            [role in SINGLETON_ROLES for role in roles], dtype=bool
+        )
+        self.census_role = np.array(
+            [role in CENSUS_ROLES for role in roles], dtype=bool
+        )
+        n = len(records)
+        self.index: dict[int, int] = {}
+        self.cert = np.empty(n, dtype=np.int64)
+        self.role = np.empty(n, dtype=np.int64)
+        self.gender = np.empty(n, dtype=np.int64)
+        self.year = np.zeros(n, dtype=np.int64)
+        self.lo = np.zeros(n, dtype=np.int64)
+        self.hi = np.zeros(n, dtype=np.int64)
+        self.dated = np.ones(n, dtype=bool)
+        self.error: ValueError | None = None
+        gender_codes: dict[str, int] = {}
+        for i, record in enumerate(records):
+            self.index[record.record_id] = i
+            self.cert[i] = record.cert_id
+            self.role[i] = role_of[record.role]
+            gender = record.gender
+            if gender is None:
+                self.gender[i] = -1
+            else:
+                self.gender[i] = gender_codes.setdefault(gender, len(gender_codes))
+            try:
+                self.lo[i], self.hi[i] = record.birth_range()
+                self.year[i] = record.event_year
+            except ValueError as error:
+                self.dated[i] = False
+                if self.error is None:
+                    self.error = error
+        # Row lookup: an O(1) array when record ids are reasonably dense,
+        # else the dict.
+        max_rid = max(self.index, default=0)
+        self._lut: np.ndarray | None = None
+        if 0 <= min(self.index, default=0) and max_rid < 8 * n + 1024:
+            self._lut = np.full(max_rid + 1, -1, dtype=np.int64)
+            for rid, row in self.index.items():
+                self._lut[rid] = row
+
+    def rows(self, rids: np.ndarray) -> np.ndarray:
+        """Row of each record id; ``KeyError`` for an id not in the table."""
+        lut = self._lut
+        if lut is not None and rids.size and rids.min() >= 0 and rids.max() < len(lut):
+            rows = lut[rids]
+            if rows.min() >= 0:
+                return rows
+        index = self.index
+        return np.fromiter(
+            (index[rid] for rid in rids.tolist()), dtype=np.int64, count=len(rids)
+        )
+
+
+def pair_masks(table: RecordTable, ia: np.ndarray, ib: np.ndarray, slack: int):
+    """The five filter rejection masks of :func:`generate_candidate_pairs`,
+    in its application order, for the row pairs ``(ia[k], ib[k])``."""
+    role_a, role_b = table.role[ia], table.role[ib]
+    gender_a, gender_b = table.gender[ia], table.gender[ib]
+    return (
+        table.cert[ia] == table.cert[ib],
+        ~table.linkable[role_a, role_b],
+        table.census_role[role_a]
+        & table.census_role[role_b]
+        & (table.year[ia] == table.year[ib]),
+        (gender_a >= 0) & (gender_b >= 0) & (gender_a != gender_b),
+        (table.lo[ia] - slack > table.hi[ib])
+        | (table.lo[ib] - slack > table.hi[ia]),
+    )

@@ -151,9 +151,10 @@ def build_parser() -> argparse.ArgumentParser:
     resolve.add_argument("--merge-threshold", type=float, default=0.85)
     resolve.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="parallel resolution workers: 0 forces the serial path, "
-        "N >= 1 forces the parallel path with N processes "
-        "(default: auto — parallel on large datasets only)",
+        help="blocking-filter workers: 0 filters serially, N >= 1 "
+        "filters in chunks over up to N processes (default: auto — "
+        "chunked on large datasets only); the dependency graph is "
+        "always one inline pass",
     )
     resolve.add_argument(
         "--shards", type=int, default=None, metavar="N",
@@ -404,8 +405,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     snap_ingest.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="parallel resolution workers for the re-resolve step "
-        "(0 = serial, N >= 1 = parallel, default: auto)",
+        help="blocking-filter workers for the re-resolve step "
+        "(0 = serial, N >= 1 = chunked over up to N processes, "
+        "default: auto)",
     )
     snap_ingest.add_argument(
         "--shards", type=int, default=None, metavar="N",
@@ -458,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="parallel resolution workers per ingest (0 = serial, "
+        help="blocking-filter workers per ingest (0 = serial, "
         "default: auto)",
     )
     stream.add_argument(

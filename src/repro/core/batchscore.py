@@ -1,9 +1,10 @@
 """Vectorised Equation (1) scoring, bit-identical to the scalar scorer.
 
 :func:`batch_atomic_similarity` evaluates
-``PairScorer._atomic_similarity_uncached`` for a whole chunk of nodes at
-once.  Byte-identity with the scalar path is not approximate — it holds
-because every floating-point operation is mirrored exactly:
+``PairScorer._atomic_similarity_uncached`` for every node of a freshly
+built dependency graph at once.  Byte-identity with the scalar path is
+not approximate — it holds because every floating-point operation is
+mirrored exactly:
 
 * the scalar code accumulates category sums with Python's left-to-right
   ``sum()`` over attributes in schema order; here each attribute column
@@ -16,8 +17,7 @@ because every floating-point operation is mirrored exactly:
   the *Python* ``**`` operator per distinct gap, never by ``np.power``
   (whose libm may differ by 1 ulp), and broadcast by lookup.
 
-A regression test asserts exact equality against the scalar scorer over
-a full synthetic dataset.
+A property test asserts exact equality against the scalar scorer.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from repro.data.schema import AttributeCategory, Schema
 
 __all__ = ["batch_atomic_similarity"]
 
-# Per-attribute node state codes used by the worker chunk loop.
+# Per-attribute node state codes used by the graph build.
 STATE_ABSENT = 0  # attribute missing on at least one record: excluded
 STATE_MATCHED = 1  # atomic node admitted: (similarity, weight 1.0)
 STATE_PRESENT = 2  # both present, below t_a: (0.0, decaying weight)
@@ -37,9 +37,9 @@ STATE_PRESENT = 2  # both present, below t_a: (0.0, decaying weight)
 def batch_atomic_similarity(
     schema: Schema,
     half_life: float | None,
-    gaps: list[int],
-    sims: list[list[float]],
-    states: list[list[int]],
+    gaps: np.ndarray,
+    sims: list[np.ndarray],
+    states: list[np.ndarray],
 ) -> np.ndarray:
     """Equation (1) for ``n`` nodes at once.
 
@@ -53,11 +53,11 @@ def batch_atomic_similarity(
     else:
         # Python pow per *distinct* gap keeps bit-parity with the scalar
         # path and costs next to nothing (gaps are small integers).
-        by_gap: dict[int, float] = {}
-        for gap in gaps:
-            if gap not in by_gap:
-                by_gap[gap] = 0.5 ** (gap / half_life)
-        decay = np.array([by_gap[gap] for gap in gaps], dtype=np.float64)
+        distinct, inverse = np.unique(gaps, return_inverse=True)
+        decay = np.array(
+            [0.5 ** (gap / half_life) for gap in distinct.tolist()],
+            dtype=np.float64,
+        )[inverse.reshape(-1)]
     index_of = {name: j for j, name in enumerate(schema.names())}
     weighted_sum = np.zeros(n, dtype=np.float64)
     weight_total = np.zeros(n, dtype=np.float64)

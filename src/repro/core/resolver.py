@@ -28,7 +28,7 @@ from repro.blocking.candidates import generate_candidate_pairs
 from repro.core.bootstrap import bootstrap_merge
 from repro.core.config import SnapsConfig
 from repro.core.constraints import ConstraintChecker
-from repro.core.dependency_graph import DependencyGraph, build_dependency_graph
+from repro.core.dependency_graph import DependencyGraph, build_graph_and_seeds
 from repro.core.entities import EntityStore
 from repro.core.merging import iterative_merge
 from repro.core.refinement import RefinementStats, refine_clusters
@@ -129,7 +129,13 @@ class LinkageResult:
 
 
 class SnapsResolver:
-    """Runs the unsupervised graph-based ER pipeline of Section 4."""
+    """Runs the unsupervised graph-based ER pipeline of Section 4.
+
+    ``G_D`` is always built by one inline array pass
+    (:func:`~repro.core.dependency_graph.build_graph_and_seeds`) that also
+    seeds the scorer and constraint checker; a ``ParallelConfig``'s
+    worker count chooses only the blocking-filter pool.
+    """
 
     def __init__(
         self,
@@ -137,30 +143,13 @@ class SnapsResolver:
         registry: ComparatorRegistry | None = None,
     ) -> None:
         self.config = config or SnapsConfig()
-        # Worker processes rebuild the registry from config alone, so the
-        # parallel path is only sound for the config-implied registry; a
-        # custom registry forces the serial path.
-        self._registry_from_config = registry is None
-        if registry is None:
-            registry = registry_for_config(self.config)
-        self.registry = registry
+        self.registry = registry or registry_for_config(self.config)
 
     def _effective_workers(
         self, dataset: Dataset, parallel: "ParallelConfig | None"
     ) -> int:
-        """Worker count for this run; 0 means the serial reference path."""
+        """Blocking-filter workers for this run; 0 means the serial filter."""
         if parallel is None:
-            return 0
-        if not self._registry_from_config:
-            logger.warning(
-                "parallel resolution requires the config-derived comparator "
-                "registry; falling back to serial"
-            )
-            return 0
-        from repro.blocking import minhash
-
-        if minhash._np is None:  # pragma: no cover - numpy is baked in
-            logger.warning("numpy unavailable; falling back to serial")
             return 0
         return parallel.effective_workers(len(dataset))
 
@@ -252,12 +241,17 @@ class SnapsResolver:
         byte-identical to an uninterrupted one.  The dependency graph is
         always rebuilt: it is deterministic in (dataset, pairs).
 
-        ``parallel`` selects the :mod:`repro.parallel` execution
-        substrate (vectorised MinHash, chunked/pooled pair scoring,
-        seeded similarity caches).  Output is byte-identical to serial
-        for any worker count — ``parallel`` is an execution detail, not
-        part of the run's configuration fingerprint, so checkpointed
-        runs may freely resume under a different worker count.
+        ``parallel`` selects the :mod:`repro.parallel` blocking substrate
+        (vectorised MinHash, chunked/pooled pair filtering); the graph
+        phase is the same inline pass for every worker count.  Output is
+        byte-identical to serial for any worker count — ``parallel`` is
+        an execution detail, not part of the run's configuration
+        fingerprint, so checkpointed runs may freely resume under a
+        different worker count.
+
+        ``frequency_index`` is the name-frequency index Eq. (2) scores
+        against; it is built from ``dataset`` when omitted, before the
+        graph phase, which seeds ``s_d`` from it.
         """
         config = self.config
         timings = Stopwatch()
@@ -297,24 +291,14 @@ class SnapsResolver:
             elif checkpoint is not None and "blocking" not in completed:
                 checkpoint.save_pairs(pairs)
                 checkpoint.check_stop("blocking")
-            seeds = None
+            # Shard workers pass the *global* dataset's index so Eq. (2)
+            # scores against full-population frequencies, not the shard's.
+            if frequency_index is None:
+                frequency_index = NameFrequencyIndex(dataset)
             with trace.span("graph"), timings.phase("graph_generation"):
-                if workers >= 1:
-                    from repro.parallel import parallel_graph_and_seeds
-
-                    graph, seeds = parallel_graph_and_seeds(
-                        dataset,
-                        pairs,
-                        config,
-                        workers,
-                        parallel,
-                        trace=trace,
-                        metrics=metrics,
-                    )
-                else:
-                    graph = build_dependency_graph(
-                        dataset, pairs, config, self.registry
-                    )
+                graph, seeds = build_graph_and_seeds(
+                    dataset, pairs, config, self.registry, frequency_index
+                )
             logger.info(
                 "dependency graph: |N_A|=%d |N_R|=%d",
                 graph.n_atomic,
@@ -343,21 +327,17 @@ class SnapsResolver:
                     )
                 else:
                     store = EntityStore(dataset)
-            # Shard workers pass the *global* dataset's index so Eq. (2)
-            # scores against full-population frequencies, not the shard's.
-            if frequency_index is None:
-                frequency_index = NameFrequencyIndex(dataset)
             scorer = PairScorer(dataset, config, self.registry, frequency_index)
             checker = ConstraintChecker(
                 temporal_slack_years=config.temporal_slack_years,
                 propagate=config.use_propagation,
                 metrics=metrics,
             )
-            if seeds is not None:
-                scorer.seed_caches(seeds.sim_table, seeds.node_scores)
-                checker.seed_pair_validity(seeds.pair_validity)
-                if metrics is not None:
-                    metrics.set_gauge("parallel.workers", workers)
+            scorer.seed_caches(seeds.sim_table, seeds.node_scores)
+            checker.seed_pair_validity(seeds.pair_validity)
+            del seeds  # the scorer copied its tables; free the originals
+            if metrics is not None and workers >= 1:
+                metrics.set_gauge("parallel.workers", workers)
 
             def commit(phase: str) -> None:
                 if checkpoint is not None:

@@ -112,15 +112,15 @@ class PairScorer:
         self.registry = registry or default_registry()
         self.frequencies = frequency_index or NameFrequencyIndex(dataset)
         self._sim_cache: dict[tuple[str, str, str], float] = {}
-        # Per-node score cache, active only when the parallel precompute
-        # has seeded it: (rid_a, rid_b) -> [s_a | None, s_d | None].  s_d
-        # is a pure function of the two records and is never invalidated;
-        # s_a is dropped whenever PROP-A actually changes ``node.atomic``.
+        # Per-node scores seeded from the graph build: (rid_a, rid_b) ->
+        # [s_a | None, s_d].  s_d is a pure function of the two records
+        # and is never invalidated; s_a is dropped whenever PROP-A
+        # actually changes ``node.atomic``.  A key is present only for
+        # nodes the graph build produced.
         self._node_scores: dict[tuple[int, int], list] = {}
-        self._cache_active = False
-        # PROP-A result memo, also parallel-only.  The best value pair per
-        # attribute is a pure function of the two entities' value sets, so
-        # one computation serves every node whose records sit in the same
+        # PROP-A result memo.  The best value pair per attribute is a
+        # pure function of the two entities' value sets, so one
+        # computation serves every node whose records sit in the same
         # pair of entity states.  (entity_id, size) identifies a state
         # exactly: ids are never reused and every membership change either
         # grows the entity or replaces it with a fresh id.
@@ -156,16 +156,15 @@ class PairScorer:
         sim_table: dict[tuple[str, str, str], float],
         node_scores: dict[tuple[int, int], list],
     ) -> None:
-        """Install precomputed similarity and node-score tables.
+        """Install the graph build's similarity and node-score tables.
 
-        The parallel precompute supplies every comparator output implied
-        by the candidate pairs plus each node's initial ``s_a``/``s_d``,
-        all computed by the same code paths the scorer would run — the
+        The build supplies every comparator output implied by the
+        candidate pairs plus each node's initial ``s_a``/``s_d``, all
+        computed to the bit as the scorer would compute them — the
         caches change where numbers come from, never what they are.
         """
         self._sim_cache.update(sim_table)
         self._node_scores.update(node_scores)
-        self._cache_active = True
 
     def publish_cache_metrics(self, metrics) -> None:
         """Record cache hit/miss/size under ``scoring.*`` metrics."""
@@ -201,61 +200,40 @@ class PairScorer:
         """
         entity_a = store.entity_of(node.rid_a)
         entity_b = store.entity_of(node.rid_b)
+        key = (node.rid_a, node.rid_b)
         if (
-            self._cache_active
-            and len(entity_a.record_ids) == 1
+            len(entity_a.record_ids) == 1
             and len(entity_b.record_ids) == 1
+            and key in self._node_scores
         ):
-            # Both entities are still singletons, so each value set is
-            # exactly the record's own values — the same values the graph
-            # build already chose the best pair from.  Every branch below
-            # is then a proven no-op: the winning pair equals the existing
-            # atomic node (same values, same comparator), its key is
-            # already registered, and the delete branch cannot trigger
-            # (an atomic node's build-time similarity cannot drop).
+            # A node of the seeded graph whose entities are both still
+            # singletons: each value set is exactly the record's own
+            # values — the same values the graph build already chose the
+            # best pair from.  Every branch below is then a proven no-op:
+            # the winning pair equals the existing atomic node (same
+            # values, same seeded comparator output), its key is already
+            # registered, and the delete branch cannot trigger.
             return
-        if self._cache_active:
-            # The winning pair per attribute depends only on the two
-            # entities' value sets, never on the node — memoise it per
-            # entity-state pair and replay the per-node application.
-            state = (
-                entity_a.entity_id,
-                len(entity_a.record_ids),
-                entity_b.entity_id,
-                len(entity_b.record_ids),
+        # The winning pair per attribute depends only on the two
+        # entities' value sets, never on the node — memoise it per
+        # entity-state pair and replay the per-node application.
+        state = (
+            entity_a.entity_id,
+            len(entity_a.record_ids),
+            entity_b.entity_id,
+            len(entity_b.record_ids),
+        )
+        memo = self._propagate_memo.get(state)
+        if memo is None:
+            self._propagate_misses += 1
+            memo = self._propagate_memo[state] = self._best_pairs(
+                store, entity_a, entity_b
             )
-            memo = self._propagate_memo.get(state)
-            if memo is None:
-                self._propagate_misses += 1
-                memo = self._propagate_memo[state] = self._best_pairs(
-                    store, entity_a, entity_b
-                )
-            else:
-                self._propagate_hits += 1
-            changed = False
-            for attribute, best in memo.items():
-                if best is not None:
-                    if node.atomic.get(attribute) != best:
-                        changed = True
-                    node.atomic[attribute] = best
-                    graph.register_atomic(best)
-                elif attribute in node.atomic:
-                    del node.atomic[attribute]
-                    changed = True
-            if changed:
-                # The node's atomic evidence moved: its cached s_a is stale.
-                entry = self._node_scores.get((node.rid_a, node.rid_b))
-                if entry is not None:
-                    entry[0] = None
-            return
+        else:
+            self._propagate_hits += 1
         changed = False
-        for attribute in self.config.schema.names():
-            values_a = store.values_of(entity_a, attribute)
-            values_b = store.values_of(entity_b, attribute)
-            if not values_a or not values_b:
-                continue
-            best = self._best_pair(attribute, values_a, values_b)
-            if best is not None and best.similarity >= self.config.atomic_threshold:
+        for attribute, best in memo.items():
+            if best is not None:
                 if node.atomic.get(attribute) != best:
                     changed = True
                 node.atomic[attribute] = best
@@ -263,6 +241,11 @@ class PairScorer:
             elif attribute in node.atomic:
                 del node.atomic[attribute]
                 changed = True
+        if changed:
+            # The node's atomic evidence moved: its cached s_a is stale.
+            entry = self._node_scores.get(key)
+            if entry is not None:
+                entry[0] = None
 
     def _best_pair(
         self, attribute: str, values_a: list[str], values_b: list[str]
@@ -291,7 +274,7 @@ class PairScorer:
         An attribute maps to its qualifying best pair, to ``None`` when
         both sides have values but the best falls below ``t_a`` (the
         delete case), and is absent when either side has no value (the
-        skip case) — mirroring the three branches of the serial loop.
+        skip case).
         """
         memo: dict[str, AtomicNode | None] = {}
         for attribute in self.config.schema.names():
@@ -331,11 +314,8 @@ class PairScorer:
         return any(attribute in node.atomic for attribute in must)
 
     def atomic_similarity(self, node: RelationalNode) -> float:
-        """Equation (1), memoised per node when the cache is seeded."""
-        if not self._cache_active:
-            return self._atomic_similarity_uncached(node)
-        key = (node.rid_a, node.rid_b)
-        entry = self._node_scores.get(key)
+        """Equation (1), memoised per seeded node."""
+        entry = self._node_scores.get((node.rid_a, node.rid_b))
         if entry is not None and entry[0] is not None:
             self._node_hits += 1
             return entry[0]
@@ -343,8 +323,6 @@ class PairScorer:
         value = self._atomic_similarity_uncached(node)
         if entry is not None:
             entry[0] = value
-        else:
-            self._node_scores[key] = [value, None]
         return value
 
     def _atomic_similarity_uncached(self, node: RelationalNode) -> float:
@@ -399,26 +377,18 @@ class PairScorer:
         return weighted_sum / weight_total
 
     def disambiguation_similarity(self, node: RelationalNode) -> float:
-        """Equation (2), memoised per node when the cache is seeded.
+        """Equation (2), seeded per node by the graph build.
 
         ``s_d`` depends only on the two records and the frequency index,
-        neither of which changes during a run, so a cached value is never
+        neither of which changes during a run, so a seeded value is never
         invalidated.
         """
-        if not self._cache_active:
-            return self._disambiguation_similarity_uncached(node)
-        key = (node.rid_a, node.rid_b)
-        entry = self._node_scores.get(key)
-        if entry is not None and entry[1] is not None:
+        entry = self._node_scores.get((node.rid_a, node.rid_b))
+        if entry is not None:
             self._node_hits += 1
             return entry[1]
         self._node_misses += 1
-        value = self._disambiguation_similarity_uncached(node)
-        if entry is not None:
-            entry[1] = value
-        else:
-            self._node_scores[key] = [None, value]
-        return value
+        return self._disambiguation_similarity_uncached(node)
 
     def _disambiguation_similarity_uncached(self, node: RelationalNode) -> float:
         """Equation (2): normalised IDF of the two records' name combos."""

@@ -2,9 +2,11 @@
 
 ``ParallelConfig`` is deliberately *not* part of
 :class:`~repro.core.config.SnapsConfig`: worker count is an execution
-detail with no influence on output (the parallel path is byte-identical
+detail with no influence on output (chunked filtering is byte-identical
 to serial), so it must not enter config fingerprints — a run
 checkpointed under ``--workers 4`` resumes cleanly under ``--workers 1``.
+It chooses only how the blocking filters run; ``G_D`` generation is one
+inline array pass whatever the worker count.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from repro.supervise.runner import available_cpus
 
 __all__ = ["ParallelConfig", "available_cpus"]
 
-#: Auto mode stays serial below this many records: process fan-out
+#: Auto mode filters serially below this many records: process fan-out
 #: costs more than it saves on tiny inputs.
 MIN_RECORDS = 1000
 #: Auto mode never picks more workers than this.
@@ -29,16 +31,16 @@ MIN_CHUNK_SIZE = 512
 
 @dataclass(frozen=True)
 class ParallelConfig:
-    """How the offline phases fan out.
+    """How the blocking filters fan out.
 
     ``workers``:
 
     * ``None`` (default, ``auto``) — pick a worker count from the
-      machine, but stay serial for datasets below ``MIN_RECORDS``;
-    * ``0`` — force the serial reference path;
-    * ``1`` — run the parallel pipeline in-process (vectorised MinHash,
-      batch scoring, seeded caches) without spawning workers;
-    * ``N >= 2`` — additionally score chunks in up to ``N`` pool
+      machine, but filter serially for datasets below ``MIN_RECORDS``;
+    * ``0`` — the serial per-pair filter;
+    * ``1`` — vectorised MinHash and chunked numpy filtering, in-process
+      without spawning workers;
+    * ``N >= 2`` — additionally filter chunks in up to ``N`` pool
       processes.  The pool never exceeds the CPUs actually available —
       oversubscribing a CPU-bound pool only adds scheduling and IPC
       overhead — so on a small machine a large ``N`` degrades gracefully

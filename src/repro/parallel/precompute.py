@@ -1,40 +1,18 @@
-"""Parallel graph construction and shared-similarity precompute.
+"""Chunked candidate-pair filtering for the blocking phase.
 
-The parallel path does not change *what* the resolver computes — it
-changes *when* and *where*.  Candidate pairs are filtered and scored in
-deterministic chunks (optionally across a process pool), then merged in
-canonical pair order into exactly the dependency graph
-``build_dependency_graph`` would produce, plus three seed tables:
-
-* the deduped comparator outputs for every ``(attribute, value_a,
-  value_b)`` the pairs imply — seeded into ``PairScorer._sim_cache`` so
-  bootstrap and iterative merging never recompute a comparator;
-* each node's initial ``s_a``/``s_d`` — seeded into the scorer's
-  node-score cache (``s_a`` invalidated if PROP-A later re-points the
-  node's atomic evidence);
-* each pair's singleton-state constraint verdict — seeded into
-  :class:`~repro.core.constraints.ConstraintChecker` so merge-time
-  validation of still-singleton endpoints is a dict lookup.
-
-Because the bootstrap/merge loops themselves run unchanged, in the same
-order, on identical numbers, entity ids and checkpoint states stay
-byte-identical to a serial run regardless of worker count.
+Raw block pairs are filtered in deterministic chunks (optionally across
+a process pool) and merged back in chunk order, so the surviving pairs,
+their order and the rejection counters equal the serial
+:func:`repro.blocking.candidates.generate_candidate_pairs` exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 
 from repro.blocking.base import block_key_pairs
 from repro.blocking.candidates import CandidatePair
 from repro.core.config import SnapsConfig
-from repro.core.dependency_graph import (
-    AtomicNode,
-    DependencyGraph,
-    RelationalNode,
-    _group_edges,
-)
 from repro.data.records import Dataset
 from repro.data.roles import Role
 from repro.obs.metrics import MetricsRegistry, merge_counts
@@ -47,22 +25,7 @@ from repro.parallel.config import (
 )
 from repro.supervise import TaskRunner
 
-__all__ = [
-    "ParallelSeeds",
-    "build_payload",
-    "make_tasks",
-    "parallel_candidate_pairs",
-    "parallel_graph_and_seeds",
-]
-
-
-@dataclass
-class ParallelSeeds:
-    """Precomputed tables the resolver seeds its scorer/checker with."""
-
-    sim_table: dict[tuple[str, str, str], float] = field(default_factory=dict)
-    node_scores: dict[tuple[int, int], list] = field(default_factory=dict)
-    pair_validity: dict[tuple[int, int], int] = field(default_factory=dict)
+__all__ = ["build_payload", "make_tasks", "parallel_candidate_pairs"]
 
 
 def make_tasks(items: list, workers: int, fingerprint: str) -> list[dict]:
@@ -84,33 +47,6 @@ def make_tasks(items: list, workers: int, fingerprint: str) -> list[dict]:
         }
         for index, offset in enumerate(range(0, len(items), size))
     ]
-
-
-def _map_chunks(
-    fn,
-    items: list,
-    label: str,
-    payload: dict,
-    workers: int,
-    parallel: ParallelConfig,
-    trace: Trace | None,
-    metrics: MetricsRegistry | None,
-) -> list[dict]:
-    """Run one chunk function over ``items``; results in chunk order."""
-    runner = TaskRunner(
-        workers,
-        key="chunk",
-        span="parallel.{label}.chunk{index}",
-        counter="parallel.chunks",
-        seconds="parallel.chunk_seconds",
-        trace=trace,
-        metrics=metrics,
-        supervise=parallel.supervise,
-        oversubscribe=parallel.oversubscribe,
-        install=partial(worker.set_payload, payload),
-    )
-    tasks = make_tasks(items, workers, payload["fingerprint"])
-    return runner.map(fn, tasks, label)
 
 
 def build_payload(dataset: Dataset, config: SnapsConfig) -> dict:
@@ -146,16 +82,21 @@ def parallel_candidate_pairs(
     if prepare is not None:
         prepare(records)
     raw_pairs = list(block_key_pairs(records, blocker, metrics=metrics))
-    results = _map_chunks(
-        worker.filter_pairs_chunk,
-        raw_pairs,
-        "filter",
-        build_payload(dataset, config),
+    payload = build_payload(dataset, config)
+    runner = TaskRunner(
         workers,
-        parallel,
-        trace,
-        metrics,
+        key="chunk",
+        span="parallel.{label}.chunk{index}",
+        counter="parallel.chunks",
+        seconds="parallel.chunk_seconds",
+        trace=trace,
+        metrics=metrics,
+        supervise=parallel.supervise,
+        oversubscribe=parallel.oversubscribe,
+        install=partial(worker.set_payload, payload),
     )
+    tasks = make_tasks(raw_pairs, workers, payload["fingerprint"])
+    results = runner.map(worker.filter_pairs_chunk, tasks, "filter")
     pairs: list[CandidatePair] = []
     rejected: dict[str, int] = {}
     for result in results:
@@ -171,64 +112,3 @@ def parallel_candidate_pairs(
                 "blocking.reduction_ratio", 1.0 - len(pairs) / total
             )
     return pairs
-
-
-def parallel_graph_and_seeds(
-    dataset: Dataset,
-    candidate_pairs: list[CandidatePair],
-    config: SnapsConfig,
-    workers: int,
-    parallel: ParallelConfig,
-    trace: Trace | None = None,
-    metrics: MetricsRegistry | None = None,
-) -> tuple[DependencyGraph, ParallelSeeds]:
-    """Chunk-scored G_D construction plus scorer/checker seed tables.
-
-    The returned graph is structurally identical to
-    :func:`build_dependency_graph` on the same inputs: chunk results are
-    merged in chunk order (chunks partition the pair list contiguously),
-    so nodes, groups, and edges appear in the serial insertion order.
-    """
-    results = _map_chunks(
-        worker.score_pairs_chunk,
-        [(pair.rid_a, pair.rid_b) for pair in candidate_pairs],
-        "score",
-        build_payload(dataset, config),
-        workers,
-        parallel,
-        trace,
-        metrics,
-    )
-    attributes = config.schema.names()
-    graph = DependencyGraph(dataset)
-    seeds = ParallelSeeds()
-    # Intern atomic nodes: the same (attribute, value, value) triple is
-    # shared by many record pairs, and AtomicNode is frozen — sharing
-    # one instance is observationally identical to fresh allocations.
-    atomic_pool: dict[tuple[int, str, str], AtomicNode] = {}
-    for result in results:
-        for spec, s_a, s_d, level in zip(
-            result["specs"], result["s_a"], result["s_d"], result["valid"]
-        ):
-            rid_a, rid_b, group_lo, group_hi, atoms = spec
-            node = RelationalNode(
-                rid_a=rid_a, rid_b=rid_b, group=(group_lo, group_hi)
-            )
-            for j, value_a, value_b, similarity in atoms:
-                pool_key = (j, value_a, value_b)
-                atomic = atomic_pool.get(pool_key)
-                if atomic is None:
-                    atomic = AtomicNode(
-                        attributes[j], value_a, value_b, similarity
-                    )
-                    atomic_pool[pool_key] = atomic
-                node.atomic[attributes[j]] = atomic
-            graph.add_node(node)
-            key = (rid_a, rid_b)
-            seeds.node_scores[key] = [s_a, s_d]
-            seeds.pair_validity[key] = level
-        for (j, lo, hi), similarity in result["sims"].items():
-            seeds.sim_table[(attributes[j], lo, hi)] = similarity
-    for group in graph.groups.values():
-        _group_edges(graph, group)
-    return graph, seeds

@@ -80,6 +80,9 @@ logger = get_logger("serve.app")
 
 MAX_GENERATIONS = 10
 _PEDIGREE_FORMATS = ("json", "ascii", "dot", "gedcom")
+#: Largest request body either front end reads.  Search bodies stay
+#: under 1 KB (query fields are capped at 100 characters).
+MAX_BODY_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True)
@@ -137,6 +140,22 @@ def _error_response(status: int, message: str, headers: dict | None = None) -> R
     return _json_response(
         status, {"error": {"status": status, "message": message}}, headers
     )
+
+
+def content_length(value: str | None) -> int | Response:
+    """The body length a ``Content-Length`` header announces, or the
+    response to send instead of reading the body: 400 for a malformed or
+    negative length, 413 above :data:`MAX_BODY_BYTES`.  The connection
+    must close after such a response, since the body was never read."""
+    value = (value or "0").strip()
+    if not (value.isascii() and value.isdigit()):
+        return _error_response(400, f"invalid Content-Length {value!r}")
+    length = int(value)
+    if length > MAX_BODY_BYTES:
+        return _error_response(
+            413, f"request body of {length} bytes exceeds {MAX_BODY_BYTES}"
+        )
+    return length
 
 
 def _text_response(status: int, text: str) -> Response:
@@ -712,12 +731,16 @@ class _RequestHandler(BaseHTTPRequestHandler):
     def _dispatch(self, method: str) -> None:
         split = urlsplit(self.path)
         params = {k: v[0] for k, v in parse_qs(split.query).items()}
-        body: bytes | None = None
-        if method == "POST":
-            length = int(self.headers.get("Content-Length") or 0)
+        # Every method's body is read (a GET's too), so the next request
+        # on a keep-alive connection starts where this one ends.
+        length = content_length(self.headers.get("Content-Length"))
+        if isinstance(length, Response):
+            response = length
+            response.headers["Connection"] = "close"
+        else:
             body = self.rfile.read(length) if length else b""
-        app: ServingApp = self.server.app  # type: ignore[attr-defined]
-        response = app.handle(method, split.path, params, body)
+            app: ServingApp = self.server.app  # type: ignore[attr-defined]
+            response = app.handle(method, split.path, params, body)
         try:
             self.send_response(response.status)
             self.send_header("Content-Type", response.content_type)

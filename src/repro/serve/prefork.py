@@ -66,7 +66,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from repro.obs.logs import get_logger
 from repro.obs.metrics import MetricsRegistry, histogram_quantile
-from repro.serve.app import Response, ServeConfig, ServingApp
+from repro.serve.app import Response, ServeConfig, ServingApp, content_length
 from repro.store import SnapshotStore
 from repro.supervise.heartbeat import (
     HeartbeatWriter,
@@ -329,20 +329,24 @@ async def _serve_connection(
                     break
                 name, _, value = raw.decode("latin-1").partition(":")
                 headers[name.strip().lower()] = value.strip()
-            body = b""
-            length = int(headers.get("content-length") or 0)
-            if length:
-                body = await reader.readexactly(length)
-            split = urlsplit(target)
-            params = {k: v[0] for k, v in parse_qs(split.query).items()}
-            # The app call runs search/pedigree work; keep the event
-            # loop free to parse the next connection meanwhile.  This
-            # is also where SingleFlight coalesces duplicate queries.
-            response: Response = await loop.run_in_executor(
-                pool, app.handle, method, split.path, params, body
-            )
+            length = content_length(headers.get("content-length"))
+            if isinstance(length, Response):
+                # The body stays unread, so the stream cannot be reused.
+                response, rejected = length, True
+            else:
+                body = await reader.readexactly(length) if length else b""
+                split = urlsplit(target)
+                params = {k: v[0] for k, v in parse_qs(split.query).items()}
+                # The app call runs search/pedigree work; keep the event
+                # loop free to parse the next connection meanwhile.  This
+                # is also where SingleFlight coalesces duplicate queries.
+                response = await loop.run_in_executor(
+                    pool, app.handle, method, split.path, params, body
+                )
+                rejected = False
             keep_alive = (
-                version != "HTTP/1.0"
+                not rejected
+                and version != "HTTP/1.0"
                 and headers.get("connection", "").lower() != "close"
                 # A draining worker answers the request it holds, then
                 # closes — keep-alive would pin connections it must shed.

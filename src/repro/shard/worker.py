@@ -1,7 +1,7 @@
 """Per-shard worker: resolve one shard's records in an isolated process.
 
 Unlike :mod:`repro.parallel.worker` — whose processes share one dataset
-payload and score chunks of a shared candidate graph — a shard worker
+payload and filter chunks of the shared raw block pairs — a shard worker
 receives *only its shard's slice*: the shard's records (plus the
 passenger records needed to close their certificates), the shard's
 candidate pairs, the resolver configuration, and the **global**

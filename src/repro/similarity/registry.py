@@ -111,11 +111,11 @@ def registry_for_config(config) -> ComparatorRegistry:
     """The registry a :class:`SnapsConfig`-like object implies.
 
     The default registry, with the geocode-aware address comparator
-    swapped in when ``config.use_geocoded_addresses`` is set.  Both the
-    resolver and the parallel worker processes build their registries
-    through this helper, so a worker reconstructs *exactly* the
-    comparators the main process would use (comparator closures are not
-    picklable, hence reconstruction rather than shipping).
+    swapped in when ``config.use_geocoded_addresses`` is set.  The
+    resolver builds its default registry through this helper, and shard
+    workers rebuild theirs from the shipped config the same way
+    (comparator closures are not picklable, hence reconstruction rather
+    than shipping).
     """
     registry = default_registry()
     if getattr(config, "use_geocoded_addresses", False):

@@ -109,9 +109,9 @@ class IncrementalResolver:
         """Fold ``delta`` into the snapshot ``parent`` (default HEAD);
         returns the new child snapshot's manifest and linkage result.
 
-        ``workers`` selects the resolution path for the re-resolve step
-        (0 = serial, N >= 1 = parallel, ``None`` = auto by dataset size);
-        the output is byte-identical either way.  ``supervise`` carries
+        ``workers`` selects the blocking-filter pool for the re-resolve
+        step (0 = serial, N >= 1 = chunked, ``None`` = auto by dataset
+        size); the output is byte-identical either way.  ``supervise`` carries
         worker-supervision knobs (deadlines/retries/quarantine) into
         those pools.
 

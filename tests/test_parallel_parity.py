@@ -3,13 +3,14 @@
 The parallel substrate (``repro.parallel``) promises that worker count is
 an execution detail with no influence on output.  These tests pin that
 promise at every layer: vectorised MinHash rows vs scalar signatures,
-batch pair scores vs the scorer's uncached paths, entity clusters at the
+the array graph build vs a scalar per-pair oracle, entity clusters at the
 API level, pedigree bytes at the CLI level, and checkpoint resume across
 worker counts.
 """
 
 from __future__ import annotations
 
+import gc
 import string
 
 import pytest
@@ -19,20 +20,27 @@ from hypothesis import strategies as st
 from repro.blocking.lsh import LshBlocker
 from repro.blocking.minhash import _MAX_HASH, MinHasher
 from repro.cli import main
+from repro.blocking.candidates import CandidatePair
 from repro.core.config import SnapsConfig
-from repro.core.dependency_graph import build_dependency_graph
+from repro.core.constraints import ConstraintChecker
+from repro.core.dependency_graph import (
+    AtomicNode,
+    DependencyGraph,
+    RelationalNode,
+    _group_edges,
+    build_dependency_graph,
+    build_graph_and_seeds,
+)
 from repro.core.resolver import SnapsResolver
 from repro.core.scoring import NameFrequencyIndex, PairScorer
 from repro.data.loader import save_dataset_csv
-from repro.data.records import Record
-from repro.data.roles import Role
+from repro.data.records import Certificate, Dataset, Record
+from repro.data.roles import CertificateType, Role
 from repro.data.synthetic import make_tiny_dataset
 from repro.faults import InjectedFault, injected
 from repro.obs.metrics import MetricsRegistry
-from repro.parallel import (
-    ParallelConfig,
-    parallel_graph_and_seeds,
-)
+from repro.parallel import ParallelConfig
+from repro.similarity.registry import default_registry
 
 np = pytest.importorskip("numpy")
 
@@ -124,8 +132,95 @@ class TestEmptySignatureSentinel:
 
 
 # ----------------------------------------------------------------------
-# Batch pair scoring == PairScorer's uncached paths
+# The array graph build == a scalar per-pair oracle
 # ----------------------------------------------------------------------
+
+
+def oracle_graph(dataset, pairs, config, registry):
+    """G_D built one pair at a time: the reference the array build must
+    reproduce, with its per-value-pair comparator cache."""
+    graph = DependencyGraph(dataset)
+    sim_cache: dict[tuple[str, str, str], float] = {}
+    for pair in pairs:
+        a, b = dataset.record(pair.rid_a), dataset.record(pair.rid_b)
+        group_key = tuple(sorted((a.cert_id, b.cert_id)))
+        node = RelationalNode(rid_a=pair.rid_a, rid_b=pair.rid_b, group=group_key)
+        for attribute in config.schema.names():
+            value_a, value_b = a.get(attribute), b.get(attribute)
+            if value_a is None or value_b is None:
+                continue
+            lo, hi = sorted((value_a, value_b))
+            similarity = sim_cache.get((attribute, lo, hi))
+            if similarity is None:
+                similarity = registry.compare(attribute, value_a, value_b) or 0.0
+                sim_cache[(attribute, lo, hi)] = similarity
+            if similarity >= config.atomic_threshold:
+                node.atomic[attribute] = AtomicNode(
+                    attribute, value_a, value_b, similarity
+                )
+        graph.add_node(node)
+    for group in graph.groups.values():
+        _group_edges(graph, group)
+    return graph, sim_cache
+
+
+def dated(record) -> bool:
+    try:
+        record.birth_range()
+    except ValueError:
+        return False
+    return True
+
+
+def ordered_similarity(a: str, b: str) -> float:
+    """Deliberately order-sensitive: admitted one way round only."""
+    return 0.95 if a <= b else 0.85
+
+
+CERT_ROLES = {
+    CertificateType.BIRTH: [Role.BB, Role.BM, Role.BF],
+    CertificateType.MARRIAGE: [Role.MB, Role.MG],
+    CertificateType.DEATH: [Role.DD, Role.DM, Role.DF, Role.DS],
+}
+# None drops the attribute; "" is a blank CSV cell.  Both are missing.
+FIRST_NAMES = ["mary", "marie", "ann", "anna", "effie", "euphemia", "", None]
+SURNAMES = ["ross", "rose", "macrae", "mcrae", "", None]
+PARISHES = ["uig", "uig ", "kilmore", None]
+YEARS = ["1870", "1871", "1899", "", None]
+AGES = [None, None, "30", "x"]
+
+
+@st.composite
+def graph_inputs(draw):
+    records, certificates = [], []
+    rids = iter(draw(st.permutations(range(1, 30))))
+    for cert_id in draw(st.permutations(range(10, 10 + draw(st.integers(2, 5))))):
+        cert_type = draw(st.sampled_from(sorted(CERT_ROLES, key=str)))
+        roles = draw(
+            st.lists(st.sampled_from(CERT_ROLES[cert_type]), min_size=1, unique=True)
+        )
+        year = draw(st.sampled_from(YEARS))
+        members = {}
+        for role in roles:
+            values = {
+                "first_name": draw(st.sampled_from(FIRST_NAMES)),
+                "surname": draw(st.sampled_from(SURNAMES)),
+                "parish": draw(st.sampled_from(PARISHES)),
+                "occupation": draw(st.sampled_from(["crofter", "", None])),
+                "event_year": year,
+                "age": draw(st.sampled_from(AGES)),
+            }
+            rid = next(rids)
+            attributes = {k: v for k, v in values.items() if v is not None}
+            records.append(Record(rid, cert_id, role, attributes, rid))
+            members[role] = rid
+        certificates.append(Certificate(cert_id, cert_type, 1870, "uig", members))
+    dataset = Dataset("oracle", records, certificates)
+    ids = sorted(dataset.records)
+    candidates = [(a, b) for a in ids for b in ids if a < b]
+    # Hand-built lists: any order, same-certificate pairs and repeats.
+    chosen = draw(st.lists(st.sampled_from(candidates), max_size=40))
+    return dataset, [CandidatePair(a, b) for a, b in chosen]
 
 
 @pytest.fixture(scope="module")
@@ -133,17 +228,121 @@ def tiny():
     return make_tiny_dataset(seed=3)
 
 
+class TestGraphBuildOracle:
+    @given(
+        inputs=graph_inputs(),
+        custom=st.booleans(),
+        half_life=st.sampled_from([None, 5.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_array_build_matches_scalar_oracle(self, inputs, custom, half_life):
+        dataset, pairs = inputs
+        config = SnapsConfig(temporal_decay_half_life=half_life)
+        registry = default_registry()
+        if custom:
+            registry.register("first_name", ordered_similarity)
+        frequencies = NameFrequencyIndex(dataset)
+        expected, sim_cache = oracle_graph(dataset, pairs, config, registry)
+        graph, seeds = build_graph_and_seeds(
+            dataset, pairs, config, registry, frequencies
+        )
+
+        assert list(graph.nodes) == list(expected.nodes)
+        assert list(graph.groups) == list(expected.groups)
+        for key, group in expected.groups.items():
+            assert graph.groups[key].node_keys == group.node_keys
+            assert graph.groups[key].edges == group.edges
+        for key, node in expected.nodes.items():
+            other = graph.nodes[key]
+            assert other.group == node.group
+            # Orientation included: AtomicNode equality compares values.
+            assert list(other.atomic.items()) == list(node.atomic.items())
+        assert graph.n_atomic == expected.n_atomic
+        assert graph._atomic_registry == expected._atomic_registry
+
+        assert seeds.sim_table == sim_cache
+        scorer = PairScorer(dataset, config, registry, frequencies)
+        checker = ConstraintChecker(config.temporal_slack_years)
+        node_scores, validity = {}, {}
+        for key, node in expected.nodes.items():
+            a, b = dataset.record(node.rid_a), dataset.record(node.rid_b)
+            both_dated = dated(a) and dated(b)
+            s_a = None
+            if half_life is None or both_dated:
+                s_a = scorer._atomic_similarity_uncached(node)
+            node_scores[key] = [s_a, scorer._disambiguation_similarity_uncached(node)]
+            if both_dated:
+                validity[key] = 0 if checker.records_compatible(a, b) else 1
+        assert seeds.node_scores == node_scores
+        assert seeds.pair_validity == validity
+
+    def test_builder_leaves_gc_state_alone(self, tiny):
+        pairs = SnapsResolver(SnapsConfig()).block(tiny)
+        gc.disable()
+        try:
+            build_graph_and_seeds(tiny, pairs, SnapsConfig())
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        build_graph_and_seeds(tiny, pairs, SnapsConfig())
+        assert gc.isenabled()
+
+
+class TestFrequencyIndexSeeds:
+    def test_sub_dataset_seeds_score_against_the_given_index(
+        self, tiny, monkeypatch
+    ):
+        """A shard resolves a slice against the global index: the seeded
+        s_d must come from that index, not one rebuilt from the slice."""
+        import repro.core.resolver as resolver_module
+
+        cert_ids = sorted(tiny.certificates)[: len(tiny.certificates) // 2]
+        certificates = [tiny.certificates[c] for c in cert_ids]
+        members = {rid for c in certificates for rid in c.member_record_ids()}
+        sub = Dataset(
+            "slice", [r for r in tiny if r.record_id in members], certificates
+        )
+        config = SnapsConfig()
+        resolver = SnapsResolver(config)
+        pairs = resolver.block(sub)
+        built = []
+
+        def spy(*args):
+            built.append(build_graph_and_seeds(*args))
+            return built[-1]
+
+        monkeypatch.setattr(resolver_module, "build_graph_and_seeds", spy)
+        global_index = NameFrequencyIndex(tiny)
+        resolver.resolve(sub, pairs=pairs, frequency_index=global_index)
+        (graph, seeds), = built
+        assert seeds.node_scores
+        scorer = PairScorer(sub, config, resolver.registry, global_index)
+        local = PairScorer(sub, config, resolver.registry, NameFrequencyIndex(sub))
+        differs = 0
+        for key, (_, s_d) in seeds.node_scores.items():
+            node = graph.nodes[key]
+            assert s_d == scorer._disambiguation_similarity_uncached(node)
+            differs += s_d != local._disambiguation_similarity_uncached(node)
+        assert differs  # the slice's own index would have scored otherwise
+
+
 class TestBatchScoreParity:
+    """The chunked blocking filter feeds the array build the same graph and
+    seeds as the serial filter does, on a generated dataset."""
+
     def test_seeded_scores_equal_uncached_scorer(self, tiny):
         config = SnapsConfig()
         resolver = SnapsResolver(config)
-        pairs = resolver.block(tiny)
-        serial_graph = build_dependency_graph(tiny, pairs, config, resolver.registry)
-        parallel_graph, seeds = parallel_graph_and_seeds(
-            tiny, pairs, config, 1, ParallelConfig(workers=1)
+        serial_pairs = resolver.block(tiny, parallel=ParallelConfig(workers=0))
+        pairs = resolver.block(tiny, parallel=ParallelConfig(workers=1))
+        serial_graph = build_dependency_graph(
+            tiny, serial_pairs, config, resolver.registry
+        )
+        parallel_graph, seeds = build_graph_and_seeds(
+            tiny, pairs, config, resolver.registry
         )
         assert set(parallel_graph.nodes) == set(serial_graph.nodes)
-        assert seeds.node_scores  # precompute actually produced scores
+        assert seeds.node_scores  # the build actually produced scores
         scorer = PairScorer(
             tiny, config, resolver.registry, NameFrequencyIndex(tiny)
         )
@@ -155,10 +354,17 @@ class TestBatchScoreParity:
     def test_parallel_graph_structure_matches_serial(self, tiny):
         config = SnapsConfig()
         resolver = SnapsResolver(config)
-        pairs = resolver.block(tiny)
-        serial = build_dependency_graph(tiny, pairs, config, resolver.registry)
-        parallel, _ = parallel_graph_and_seeds(
-            tiny, pairs, config, 1, ParallelConfig(workers=1)
+        serial = build_dependency_graph(
+            tiny,
+            resolver.block(tiny, parallel=ParallelConfig(workers=0)),
+            config,
+            resolver.registry,
+        )
+        parallel = build_dependency_graph(
+            tiny,
+            resolver.block(tiny, parallel=ParallelConfig(workers=1)),
+            config,
+            resolver.registry,
         )
         assert list(parallel.nodes) == list(serial.nodes)  # insertion order
         assert parallel.n_atomic == serial.n_atomic

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import re
 import socket
 import threading
 import time
@@ -651,6 +652,109 @@ class TestKeepAliveWrites:
                 received += chunk
         assert json.loads(received)["status"] == "ok"
         assert client.healthz()["status"] == "ok"
+
+
+# ----------------------------------------------------------------------
+# Request-body framing, on both front ends
+# ----------------------------------------------------------------------
+
+
+def _threaded_front_end(app):
+    server = make_server(app, "127.0.0.1", 0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+
+    def stop():
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+    return server.server_address[:2], stop
+
+
+def _prefork_front_end(app):
+    """One pre-fork worker's connection handler on an in-thread loop."""
+    import asyncio
+
+    from repro.serve.prefork import _serve_connection
+
+    loop = asyncio.new_event_loop()
+    pool = ThreadPoolExecutor(max_workers=2)
+    server = loop.run_until_complete(
+        asyncio.start_server(
+            lambda r, w: _serve_connection(r, w, app, pool), "127.0.0.1", 0
+        )
+    )
+    thread = threading.Thread(target=loop.run_forever, daemon=True)
+    thread.start()
+
+    def stop():
+        async def close():
+            server.close()
+            await server.wait_closed()
+
+        asyncio.run_coroutine_threadsafe(close(), loop).result(timeout=5)
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(timeout=5)
+        loop.close()
+        pool.shutdown()
+
+    return server.sockets[0].getsockname()[:2], stop
+
+
+class TestContentLength:
+    @pytest.mark.parametrize(
+        "front_end", [_threaded_front_end, _prefork_front_end],
+        ids=["threaded", "prefork"],
+    )
+    @pytest.mark.parametrize(
+        "length, status",
+        [("abc", 400), ("-5", 400), ("-1", 400), ("100000000", 413)],
+    )
+    def test_bad_length_answered_before_the_body_is_read(
+        self, tiny_pedigree_graph, front_end, length, status
+    ):
+        app = ServingApp(tiny_pedigree_graph, ServeConfig())
+        address, stop = front_end(app)
+        try:
+            with socket.create_connection(address, timeout=10) as sock:
+                sock.sendall(
+                    b"POST /v1/search HTTP/1.1\r\nHost: x\r\n"
+                    + f"Content-Length: {length}\r\n\r\n".encode()
+                )
+                received = b""
+                while chunk := sock.recv(65536):
+                    received += chunk
+            head, _, body = received.partition(b"\r\n\r\n")
+            assert head.split(b"\r\n")[0].split()[1] == str(status).encode()
+            assert b"Connection: close" in head
+            assert json.loads(body)["error"]["status"] == status
+        finally:
+            stop()
+
+    @pytest.mark.parametrize(
+        "front_end", [_threaded_front_end, _prefork_front_end],
+        ids=["threaded", "prefork"],
+    )
+    def test_get_body_is_consumed_on_keep_alive(
+        self, tiny_pedigree_graph, front_end
+    ):
+        app = ServingApp(tiny_pedigree_graph, ServeConfig())
+        address, stop = front_end(app)
+        try:
+            with socket.create_connection(address, timeout=10) as sock:
+                sock.sendall(
+                    b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+                    b"Content-Length: 5\r\n\r\nhello"
+                    b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+                    b"Connection: close\r\n\r\n"
+                )
+                received = b""
+                while chunk := sock.recv(65536):
+                    received += chunk
+            assert re.findall(rb"HTTP/1\.1 (\d{3}) ", received) == [b"200", b"200"]
+        finally:
+            stop()
 
 
 # ----------------------------------------------------------------------

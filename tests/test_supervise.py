@@ -261,7 +261,7 @@ class TestResolutionCrashParity:
 
     def test_chunk_crash_parity(self, chaos_dataset, serial_clusters):
         metrics = MetricsRegistry()
-        with injected("supervise.task.score.t0.a0:worker_crash"):
+        with injected("supervise.task.filter.t0.a0:worker_crash"):
             result = SnapsResolver(SnapsConfig()).resolve(
                 chaos_dataset,
                 metrics=metrics,
@@ -277,7 +277,7 @@ class TestResolutionCrashParity:
         # supervised attempt loop as a pool: the transient error is
         # charged, retried under .a1, and the output matches serial.
         metrics = MetricsRegistry()
-        with injected("supervise.task.score.t0.a0:error"):
+        with injected("supervise.task.filter.t0.a0:error"):
             result = SnapsResolver(SnapsConfig()).resolve(
                 chaos_dataset,
                 metrics=metrics,
@@ -318,7 +318,7 @@ class TestResolutionCrashParity:
     def test_chunk_hang_parity(self, chaos_dataset, serial_clusters):
         metrics = MetricsRegistry()
         supervise = SuperviseConfig(task_timeout_s=0.5)
-        with injected("supervise.task.score.t0.a0:hang:latency_s=30"):
+        with injected("supervise.task.filter.t0.a0:hang:latency_s=30"):
             result = SnapsResolver(SnapsConfig()).resolve(
                 chaos_dataset,
                 metrics=metrics,
@@ -510,7 +510,7 @@ class TestCliSupervision:
     ):
         monkeypatch.setenv("SNAPS_OVERSUBSCRIBE", "1")
         out = tmp_path / "graph.json"
-        with injected("supervise.task.score.t0.a0:worker_crash"):
+        with injected("supervise.task.filter.t0.a0:worker_crash"):
             code = main([
                 "resolve", "--data", str(stem), "--out", str(out),
                 "--workers", "2",
@@ -523,7 +523,7 @@ class TestCliSupervision:
     ):
         monkeypatch.setenv("SNAPS_OVERSUBSCRIBE", "1")
         qdir = tmp_path / "quarantine"
-        with injected("supervise.task.score.t0.a*:error:times=none"):
+        with injected("supervise.task.filter.t0.a*:error:times=none"):
             code = main([
                 "resolve", "--data", str(stem),
                 "--out", str(tmp_path / "graph.json"),
