@@ -8,16 +8,17 @@ install:
 test:
 	pytest tests/
 
-# Fail-fast gate for CI and pre-commit: tier-1 tests, a bytecode compile
-# of the whole library, and a telemetry smoke run (simulate → resolve
-# with tracing → report) so observability regressions surface
-# immediately.
+# Fail-fast gate for CI and pre-commit: tier-1 tests, the benchmark
+# harness's own tests, a bytecode compile of the whole library, and a
+# telemetry smoke run (simulate → resolve with tracing → report) so
+# observability regressions surface immediately.
 VERIFY_TMP = /tmp/snaps-verify
 
 # The smoke-run block executes in ONE shell with an EXIT trap so
 # $(VERIFY_TMP) is removed whether the run passes or fails.
 verify:
 	PYTHONPATH=src python -m pytest -x -q tests/
+	python -m pytest -q perfbench/test_harness.py
 	python -m compileall -q src
 	rm -rf $(VERIFY_TMP) && mkdir -p $(VERIFY_TMP); \
 	trap 'rm -rf $(VERIFY_TMP)' EXIT; \

@@ -151,10 +151,11 @@ def build_parser() -> argparse.ArgumentParser:
     resolve.add_argument("--merge-threshold", type=float, default=0.85)
     resolve.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="blocking-filter workers: 0 filters serially, N >= 1 "
-        "filters in chunks over up to N processes (default: auto — "
-        "chunked on large datasets only); the dependency graph is "
-        "always one inline pass",
+        help="blocking-filter workers: 0 filters serially, 1 filters "
+        "in chunks in process, N >= 2 over a pool of up to N processes "
+        "(default: auto — in-process chunks on large datasets, serial "
+        "on small ones; never a pool); the dependency graph is always "
+        "one inline pass",
     )
     resolve.add_argument(
         "--shards", type=int, default=None, metavar="N",
@@ -406,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     snap_ingest.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="blocking-filter workers for the re-resolve step "
-        "(0 = serial, N >= 1 = chunked over up to N processes, "
-        "default: auto)",
+        "(0 = serial, 1 = chunked in process, N >= 2 = chunked over "
+        "up to N processes, default: auto — in process, never a pool)",
     )
     snap_ingest.add_argument(
         "--shards", type=int, default=None, metavar="N",
@@ -460,8 +461,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     stream.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="blocking-filter workers per ingest (0 = serial, "
-        "default: auto)",
+        help="blocking-filter workers per ingest (0 = serial, 1 = "
+        "chunked in process, N >= 2 = a pool of up to N processes, "
+        "default: auto — in process, never a pool)",
     )
     stream.add_argument(
         "--drain", action="store_true",

@@ -44,10 +44,11 @@ def bootstrap_merge(
     (``similarity.bootstrap_group_mean``) and merge counters — the means
     are computed anyway, so observing them costs one histogram insert.
 
-    Under parallel resolution both hot calls below resolve from seeded
-    caches: ``scorer.atomic_similarity`` reads the node-score table and
-    ``checker.records_compatible``/``can_merge`` read the precomputed
-    pair-validity verdicts — same numbers, same decisions, no recompute.
+    In a resolve both hot calls below read tables the graph build seeds
+    for every worker count: ``scorer.atomic_similarity`` reads the
+    node-score table and ``checker.records_compatible``/``can_merge``
+    read the pair-validity verdicts — same numbers, same decisions, no
+    recompute.
     """
     if metrics is not None:
         mean_histogram = metrics.histogram(

@@ -55,9 +55,10 @@ class ConstraintChecker:
         self.slack = temporal_slack_years
         self.propagate = propagate
         self.metrics = metrics
-        # (rid_a, rid_b) -> rejection level, precomputed by the parallel
-        # pipeline under the both-entities-are-singletons assumption:
-        # 0 = mergeable, 1 = record-level reject, 2 = entity-level reject.
+        # (rid_a, rid_b) -> rejection level, precomputed by the graph
+        # build for every worker count, under the both-entities-are-
+        # singletons assumption: 0 = mergeable, 1 = record-level reject,
+        # 2 = entity-level reject.
         self._pair_validity: dict[tuple[int, int], int] | None = None
         # Entity-level verdict memo, active alongside the seeded table.
         # (entity_id, size) identifies an entity state exactly — ids are
@@ -170,34 +171,36 @@ class ConstraintChecker:
         link contributes negative evidence.  Without propagation only the
         two records themselves are checked (Table 3 ablation).
         """
+        rid_a, rid_b = a.record_id, b.record_id
+        level = None
         if self._pair_validity is not None:
-            rid_a, rid_b = a.record_id, b.record_id
-            key = (rid_a, rid_b) if rid_a < rid_b else (rid_b, rid_a)
-            level = self._pair_validity.get(key)
-            if level is not None and (
-                level == 1
-                or (
-                    len(store.entity_of(rid_a).record_ids) == 1
-                    and len(store.entity_of(rid_b).record_ids) == 1
-                )
-            ):
-                if level == 0:
-                    return True
-                if self.metrics is not None:
-                    self.metrics.inc(
-                        "constraints.rejected_record_level"
-                        if level == 1
-                        else "constraints.rejected_entity_level"
-                    )
-                return False
-        if not self.records_compatible(a, b):
+            level = self._pair_validity.get(
+                (rid_a, rid_b) if rid_a < rid_b else (rid_b, rid_a)
+            )
+        if level == 1:
             if self.metrics is not None:
                 self.metrics.inc("constraints.rejected_record_level")
             return False
-        if not self.propagate:
-            return True
-        ea = store.entity_of(a.record_id)
-        eb = store.entity_of(b.record_id)
+        if level is None:
+            if not self.records_compatible(a, b):
+                if self.metrics is not None:
+                    self.metrics.inc("constraints.rejected_record_level")
+                return False
+            if not self.propagate:
+                return True
+        ea = store.entity_of(rid_a)
+        eb = store.entity_of(rid_b)
+        if level is not None:
+            # Levels 0 and 2 already say the two records are compatible;
+            # for two singletons they are the whole verdict.
+            if len(ea.record_ids) == 1 and len(eb.record_ids) == 1:
+                if level == 0:
+                    return True
+                if self.metrics is not None:
+                    self.metrics.inc("constraints.rejected_entity_level")
+                return False
+            if not self.propagate:
+                return True
         if not self.entities_compatible(ea, eb):
             if self.metrics is not None:
                 self.metrics.inc("constraints.rejected_entity_level")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import gc
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -98,10 +98,10 @@ class NodeGroup:
 
     key: GroupKey
     node_keys: list[tuple[int, int]] = field(default_factory=list)
-    # Edges: (node_key_a, relationship, node_key_b).
-    edges: list[tuple[tuple[int, int], str, tuple[int, int]]] = field(
-        default_factory=list
-    )
+    # Edges: (node_key_a, relationship, node_key_b).  Most groups hold a
+    # single node and no edge; they share the empty tuple rather than
+    # each owning an empty list.
+    edges: Sequence[tuple[tuple[int, int], str, tuple[int, int]]] = ()
 
 
 class DependencyGraph:
@@ -191,6 +191,7 @@ def _group_edges(graph: DependencyGraph, group: NodeGroup) -> None:
     present = set(group.node_keys)
     rels_a = cert_a.relationships()
     rels_b = cert_b.relationships()
+    edges = []
     for ra, rel_a, rb in rels_a:
         for rc, rel_b, rd in rels_b:
             if rel_a != rel_b:
@@ -199,13 +200,15 @@ def _group_edges(graph: DependencyGraph, group: NodeGroup) -> None:
                 key_left = tuple(sorted(left))
                 key_right = tuple(sorted(right))
                 if key_left in present and key_right in present:
-                    group.edges.append((key_left, rel_a, key_right))
+                    edges.append((key_left, rel_a, key_right))
             if rel_a == "Sof":
                 # Spouse links are symmetric: also try the crossed pairing.
                 key_left = tuple(sorted((ra, rd)))
                 key_right = tuple(sorted((rb, rc)))
                 if key_left in present and key_right in present:
-                    group.edges.append((key_left, "Sof", key_right))
+                    edges.append((key_left, "Sof", key_right))
+    if edges:
+        group.edges = edges
 
 
 def build_dependency_graph(

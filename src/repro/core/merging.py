@@ -32,7 +32,7 @@ from repro.core.constraints import ConstraintChecker
 from repro.core.dependency_graph import DependencyGraph, RelationalNode
 from repro.core.entities import EntityStore
 from repro.core.scoring import PairScorer
-from repro.data.schema import AttributeCategory
+from repro.obs.metrics import SIMILARITY_BUCKETS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from repro.obs.metrics import MetricsRegistry
@@ -54,32 +54,50 @@ def iterative_merge(
     rejected, nodes dropped) and the distribution of gate similarities
     (``similarity.merge_gate``) already computed by the REL loop.
     """
-    groups = list(graph.groups.values())
-    # Initial priorities: group size, then mean combined similarity.  The
-    # queue is static (merging never creates groups), so a sorted list is
-    # the priority queue.
-    def priority(group) -> tuple[int, float]:
-        nodes = graph.alive_group_nodes(group)
-        if not nodes:
-            return (0, 0.0)
-        mean = sum(scorer.combined_similarity(n) for n in nodes) / len(nodes)
-        return (len(nodes), mean)
-
-    groups.sort(key=priority, reverse=True)
-    merged_count = 0
-    for group in groups:
-        nodes = graph.alive_group_nodes(group)
+    # A node's ``merged`` flag changes only while its own group is
+    # processed, so each group's alive nodes are found once, here.  Most
+    # groups hold one node, which is kept as is rather than in a list;
+    # groups with no alive node would sort last and be skipped anyway.
+    nodes_of = graph.nodes
+    alive: list = []
+    priorities: list[tuple[int, float]] = []
+    for group in graph.groups.values():
+        nodes = [
+            node
+            for node in map(nodes_of.__getitem__, group.node_keys)
+            if not node.merged
+        ]
         if not nodes:
             continue
+        # Priority: group size, then mean combined similarity.  The queue
+        # is static (merging never creates groups), so a stably sorted
+        # list is the priority queue.
+        mean = sum(scorer.combined_similarity(n) for n in nodes) / len(nodes)
+        priorities.append((len(nodes), mean))
+        alive.append(nodes if len(nodes) > 1 else nodes[0])
+    order = sorted(range(len(alive)), key=priorities.__getitem__, reverse=True)
+    del priorities
+    merged_count = groups_merged = 0
+    for index in order:
+        nodes = alive[index]
         merged = _process_group(
-            nodes, graph, store, scorer, checker, config, metrics
+            nodes if type(nodes) is list else [nodes],
+            graph,
+            store,
+            scorer,
+            checker,
+            config,
+            metrics,
         )
-        if metrics is not None:
-            metrics.inc(
-                "merging.groups_merged" if merged else "merging.groups_rejected"
-            )
+        groups_merged += merged > 0
         merged_count += merged
     if metrics is not None:
+        # Group outcomes are counted once, at the end; a counter is
+        # created only when it is non-zero.
+        if groups_merged:
+            metrics.inc("merging.groups_merged", groups_merged)
+        if len(order) > groups_merged:
+            metrics.inc("merging.groups_rejected", len(order) - groups_merged)
         metrics.inc("merging.nodes_merged", merged_count)
     return merged_count
 
@@ -109,44 +127,48 @@ def _process_group(
     # two agreeing parent nodes → merge parents) from the father-and-son
     # namesake case (one agreeing father node vs one disagreeing wife
     # node → no merge).
+    record = graph.dataset.record
+    can_merge = checker.can_merge
+    same_entity = store.same_entity
     disagreements = 0
     while nodes:
-        valid: list[RelationalNode] = []
-        invalid: list[RelationalNode] = []
-        for node in nodes:
-            a, b = graph.records_of(node)
-            if checker.can_merge(store, a, b) or store.same_entity(
-                node.rid_a, node.rid_b
-            ):
-                valid.append(node)
-            else:
-                invalid.append(node)
-        if invalid:
+        valid = [
+            node
+            for node in nodes
+            if can_merge(store, record(node.rid_a), record(node.rid_b))
+            or same_entity(node.rid_a, node.rid_b)
+        ]
+        if len(valid) < len(nodes):
             if not use_rel:
                 return 0  # a violating node blocks the whole group
             nodes = valid
             continue
-        if not valid:
-            return 0
         if config.use_propagation:
             for node in valid:
                 scorer.propagate_values(graph, node, store)
-        unsupported = [n for n in valid if not scorer.has_must_evidence(n)]
-        if unsupported and use_rel:
-            # REL's node-dropping: nodes without Must-attribute evidence
-            # may never merge.  A node whose Must values are present on
-            # both sides yet dissimilar is *active disagreement*; one with
-            # a missing Must value is merely uninformative and is dropped
-            # silently.  Without REL the weak node stays and drags the
-            # group average down — the paper's partial-match-group
-            # failure mode.
-            disagreements += sum(
-                1
-                for n in unsupported
-                if _must_values_disagree(graph, scorer, n, config)
-            )
-            nodes = [n for n in valid if scorer.has_must_evidence(n)]
-            continue
+        if use_rel:
+            supported: list[RelationalNode] = []
+            unsupported: list[RelationalNode] = []
+            for node in valid:
+                if scorer.has_must_evidence(node):
+                    supported.append(node)
+                else:
+                    unsupported.append(node)
+            if unsupported:
+                # REL's node-dropping: nodes without Must-attribute
+                # evidence may never merge.  A node whose Must values are
+                # present on both sides yet dissimilar is *active
+                # disagreement*; one with a missing Must value is merely
+                # uninformative and is dropped silently.  Without REL the
+                # weak node stays and drags the group average down — the
+                # paper's partial-match-group failure mode.
+                disagreements += sum(
+                    1
+                    for n in unsupported
+                    if _must_values_disagree(graph, scorer, n)
+                )
+                nodes = supported
+                continue
         atomic = [scorer.atomic_similarity(n) for n in valid]
         if use_rel and len(valid) > 1 and min(atomic) < config.node_floor:
             # A clearly-dissimilar node (a sibling pair, say) must not be
@@ -155,7 +177,7 @@ def _process_group(
             disagreements += sum(
                 1
                 for n, s in zip(valid, atomic)
-                if s < config.node_floor and _must_values_disagree(graph, scorer, n, config)
+                if s < config.node_floor and _must_values_disagree(graph, scorer, n)
             )
             nodes = kept
             continue
@@ -168,15 +190,12 @@ def _process_group(
         else:
             mean_gate = atomic[0]
         if metrics is not None:
-            from repro.obs.metrics import SIMILARITY_BUCKETS
-
             metrics.observe("similarity.merge_gate", mean_gate, SIMILARITY_BUCKETS)
         if mean_gate >= config.merge_threshold:
             merged = 0
             for node in valid:
-                a, b = graph.records_of(node)
-                if store.same_entity(node.rid_a, node.rid_b) or checker.can_merge(
-                    store, a, b
+                if same_entity(node.rid_a, node.rid_b) or can_merge(
+                    store, record(node.rid_a), record(node.rid_b)
                 ):
                     store.merge(node.rid_a, node.rid_b)
                     node.merged = True
@@ -188,7 +207,7 @@ def _process_group(
         # are least trustworthy) and retry with the rest.
         combined = [scorer.combined_similarity(n) for n in valid]
         weakest = min(range(len(valid)), key=lambda i: combined[i])
-        if _must_values_disagree(graph, scorer, valid[weakest], config):
+        if _must_values_disagree(graph, scorer, valid[weakest]):
             disagreements += 1
         if metrics is not None:
             metrics.inc("merging.nodes_dropped")
@@ -197,16 +216,14 @@ def _process_group(
 
 
 def _must_values_disagree(
-    graph: DependencyGraph,
-    scorer: PairScorer,
-    node: RelationalNode,
-    config: SnapsConfig,
+    graph: DependencyGraph, scorer: PairScorer, node: RelationalNode
 ) -> bool:
-    """True when the node's records both carry a Must attribute whose best
-    similarity still falls below the atomic threshold — active negative
-    evidence, as opposed to mere missing values."""
+    """True when the node's records both carry a Must attribute (of the
+    scorer's schema) whose best similarity still falls below the atomic
+    threshold — active negative evidence, as opposed to mere missing
+    values."""
     a, b = graph.records_of(node)
-    for attribute in config.schema.names_in(AttributeCategory.MUST):
+    for attribute in scorer.must_names:
         value_a, value_b = a.get(attribute), b.get(attribute)
         if value_a is None or value_b is None:
             continue

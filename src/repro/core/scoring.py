@@ -111,6 +111,14 @@ class PairScorer:
         self.config = config
         self.registry = registry or default_registry()
         self.frequencies = frequency_index or NameFrequencyIndex(dataset)
+        schema = config.schema
+        # Attribute names per category, in schema order: read per node
+        # by Equation (1) and the Must-evidence checks.
+        self._category_names = tuple(
+            (category, tuple(schema.names_in(category)))
+            for category in AttributeCategory
+        )
+        self.must_names = tuple(schema.names_in(AttributeCategory.MUST))
         self._sim_cache: dict[tuple[str, str, str], float] = {}
         # Per-node scores seeded from the graph build: (rid_a, rid_b) ->
         # [s_a | None, s_d].  s_d is a pure function of the two records
@@ -123,8 +131,11 @@ class PairScorer:
         # computation serves every node whose records sit in the same
         # pair of entity states.  (entity_id, size) identifies a state
         # exactly: ids are never reused and every membership change either
-        # grows the entity or replaces it with a fresh id.
+        # grows the entity or replaces it with a fresh id.  An entry's
+        # atomic nodes are registered in ``_memo_graph`` when the entry is
+        # computed; a call with another graph starts the memo afresh.
         self._propagate_memo: dict[tuple, dict[str, AtomicNode | None]] = {}
+        self._memo_graph: DependencyGraph | None = None
         self._entity_values: dict[tuple[int, int, str], list[str]] = {}
         self._sim_hits = 0
         self._sim_misses = 0
@@ -223,23 +234,31 @@ class PairScorer:
             entity_b.entity_id,
             len(entity_b.record_ids),
         )
+        if graph is not self._memo_graph:
+            self._propagate_memo.clear()
+            self._memo_graph = graph
         memo = self._propagate_memo.get(state)
         if memo is None:
             self._propagate_misses += 1
             memo = self._propagate_memo[state] = self._best_pairs(
                 store, entity_a, entity_b
             )
+            for best in memo.values():
+                if best is not None:
+                    graph.register_atomic(best)
         else:
             self._propagate_hits += 1
+        atomic = node.atomic
         changed = False
         for attribute, best in memo.items():
             if best is not None:
-                if node.atomic.get(attribute) != best:
-                    changed = True
-                node.atomic[attribute] = best
-                graph.register_atomic(best)
-            elif attribute in node.atomic:
-                del node.atomic[attribute]
+                current = atomic.get(attribute)
+                if current is not best:
+                    if current != best:
+                        changed = True
+                    atomic[attribute] = best
+            elif attribute in atomic:
+                del atomic[attribute]
                 changed = True
         if changed:
             # The node's atomic evidence moved: its cached s_a is stale.
@@ -310,8 +329,8 @@ class PairScorer:
         agreement alone (surname + address match any two household
         members).
         """
-        must = self.config.schema.names_in(AttributeCategory.MUST)
-        return any(attribute in node.atomic for attribute in must)
+        atomic = node.atomic
+        return any(attribute in atomic for attribute in self.must_names)
 
     def atomic_similarity(self, node: RelationalNode) -> float:
         """Equation (1), memoised per seeded node."""
@@ -345,13 +364,13 @@ class PairScorer:
             decay = 0.5 ** (gap / half_life)
         weighted_sum = 0.0
         weight_total = 0.0
-        for category in AttributeCategory:
+        for category, names in self._category_names:
             # Per-attribute (similarity, weight) pairs: matched attributes
             # weigh 1; present-but-dissimilar attributes contribute 0 with
             # a weight that decays over the records' time gap for the
             # mutable Extra attributes (people move, change occupations).
             scored: list[tuple[float, float]] = []
-            for attribute in schema.names_in(category):
+            for attribute in names:
                 atomic = node.atomic.get(attribute)
                 if atomic is not None:
                     scored.append((atomic.similarity, 1.0))

@@ -18,11 +18,9 @@ from repro.supervise.runner import available_cpus
 
 __all__ = ["ParallelConfig", "available_cpus"]
 
-#: Auto mode filters serially below this many records: process fan-out
-#: costs more than it saves on tiny inputs.
+#: Auto mode filters serially below this many records: chunking costs
+#: more than it saves on tiny inputs.
 MIN_RECORDS = 1000
-#: Auto mode never picks more workers than this.
-MAX_AUTO_WORKERS = 8
 #: Chunks per requested worker (load balance) ...
 CHUNKS_PER_WORKER = 4
 #: ... but never chunks smaller than this many pairs.
@@ -35,8 +33,12 @@ class ParallelConfig:
 
     ``workers``:
 
-    * ``None`` (default, ``auto``) — pick a worker count from the
-      machine, but filter serially for datasets below ``MIN_RECORDS``;
+    * ``None`` (default, ``auto``) — the in-process chunked filter
+      (``1``), or the serial one for datasets below ``MIN_RECORDS``.
+      Auto mode never forks: the raw pairs are built as one array pass
+      in the parent, so a pool could only take over the numpy mask
+      step, a few tens of milliseconds, and its forks and IPC cost as
+      much as they save;
     * ``0`` — the serial per-pair filter;
     * ``1`` — vectorised MinHash and chunked numpy filtering, in-process
       without spawning workers;
@@ -71,6 +73,4 @@ class ParallelConfig:
         """Worker count for a dataset of ``n_records`` (0 = serial)."""
         if self.workers is not None:
             return self.workers
-        if n_records < MIN_RECORDS:
-            return 0
-        return max(1, min(available_cpus(), MAX_AUTO_WORKERS))
+        return 0 if n_records < MIN_RECORDS else 1

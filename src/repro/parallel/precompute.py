@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import partial
 
-from repro.blocking.base import block_key_pairs
+from repro.blocking.base import block_pair_array
 from repro.blocking.candidates import CandidatePair
 from repro.core.config import SnapsConfig
 from repro.data.records import Dataset
@@ -28,14 +28,15 @@ from repro.supervise import TaskRunner
 __all__ = ["build_payload", "make_tasks", "parallel_candidate_pairs"]
 
 
-def make_tasks(items: list, workers: int, fingerprint: str) -> list[dict]:
-    """Split ``items`` into contiguous, deterministic chunk tasks.
+def make_tasks(items, workers: int, fingerprint: str) -> list[dict]:
+    """Split ``items`` (a sequence or an array of pair rows) into
+    contiguous, deterministic chunk tasks.
 
     Chunk boundaries depend only on the item count and the requested
     worker count; results are merged back in chunk order, so chunking
     never influences output — only load balance.
     """
-    if not items:
+    if not len(items):
         return []
     target = max(1, workers * CHUNKS_PER_WORKER)
     size = max(MIN_CHUNK_SIZE, -(-len(items) // target))
@@ -81,7 +82,7 @@ def parallel_candidate_pairs(
     prepare = getattr(blocker, "prepare", None)
     if prepare is not None:
         prepare(records)
-    raw_pairs = list(block_key_pairs(records, blocker, metrics=metrics))
+    raw_pairs = block_pair_array(records, blocker, metrics=metrics)
     payload = build_payload(dataset, config)
     runner = TaskRunner(
         workers,
@@ -100,7 +101,8 @@ def parallel_candidate_pairs(
     pairs: list[CandidatePair] = []
     rejected: dict[str, int] = {}
     for result in results:
-        pairs.extend(CandidatePair(a, b) for a, b in result["kept"])
+        kept = result["kept"]
+        pairs.extend(map(CandidatePair, kept[:, 0].tolist(), kept[:, 1].tolist()))
         for name, count in result["rejected"].items():
             rejected[name] = rejected.get(name, 0) + count
     merge_counts(metrics, rejected, prefix="blocking.rejected_")

@@ -5,10 +5,10 @@ fingerprint) and lazily builds its context from it once: a
 column-oriented record table for vectorised predicates.  Under a
 ``fork`` start method the payload is inherited from the parent for
 free; under ``spawn`` it is shipped once via the pool initializer.
-Either way the per-chunk task messages carry only pair-id lists plus the
-config fingerprint, which every chunk verifies against its context (a
-stale worker must fail loudly, never filter under the wrong
-configuration).
+Either way the per-chunk task messages carry only an ``(n, 2)`` pair-id
+array plus the config fingerprint, which every chunk verifies against
+its context (a stale worker must fail loudly, never filter under the
+wrong configuration).
 
 The pair filters are numpy boolean masks over integer record columns
 (certificate ids, role codes, gender codes, birth-year bounds) — integer
@@ -117,25 +117,25 @@ def filter_pairs_chunk(task: dict) -> dict:
     """Apply the candidate-pair filters to one chunk of raw block pairs.
 
     Mirrors :func:`repro.blocking.candidates.generate_candidate_pairs`
-    filter for filter, in order, returning the surviving pairs and the
-    per-filter rejection counts the serial path would have emitted.
+    filter for filter, in order, returning the surviving rows of the
+    chunk's ``(n, 2)`` pair array and the per-filter rejection counts
+    the serial path would have emitted.
     """
     ctx = _context(task["fingerprint"])
     started = time.perf_counter()
-    pairs = task["pairs"]
+    pairs = np.asarray(task["pairs"], dtype=np.int64).reshape(-1, 2)
     rejected = dict.fromkeys(REJECT_KEYS, 0)
-    kept: list[tuple[int, int]] = []
-    if pairs:
+    kept = pairs
+    if len(pairs):
         table = ctx.table
-        pair_arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        ia, ib = table.rows(pair_arr[:, 0]), table.rows(pair_arr[:, 1])
+        ia, ib = table.rows(pairs[:, 0]), table.rows(pairs[:, 1])
         masks = pair_masks(table, ia, ib, ctx.config.temporal_slack_years)
         alive = np.ones(len(pairs), dtype=bool)
         for name, mask in zip(REJECT_KEYS, masks):
             hits = mask & alive
             rejected[name] = int(hits.sum())
             alive &= ~mask
-        kept = [pairs[i] for i in np.nonzero(alive)[0]]
+        kept = pairs[alive]
     result = {
         "chunk": task["chunk"],
         "elapsed": time.perf_counter() - started,

@@ -178,6 +178,21 @@ class TestPropagation:
         scorer.propagate_values(graph, node, store)
         assert node.atomic["surname"].key()[1:] == ("tayler", "taylor")
 
+    def test_prop_a_registers_atomic_nodes_in_every_graph(self):
+        """PROP-A registers a memo entry's atomic nodes once, when the
+        entry is computed; a scorer reused on another graph must still
+        count them in that graph's |N_A|."""
+        dataset = _make_dataset()
+        scorer = PairScorer(dataset, SnapsConfig())
+        store = EntityStore(dataset)
+        from repro.core.dependency_graph import DependencyGraph
+
+        store.merge(1, 3)
+        graphs = [DependencyGraph(dataset), DependencyGraph(dataset)]
+        for graph in graphs:
+            scorer.propagate_values(graph, RelationalNode(3, 2, (2, 3)), store)
+        assert graphs[0].n_atomic == graphs[1].n_atomic > 0
+
     def test_prop_a_removes_below_threshold(self):
         dataset = _make_dataset()
         config = SnapsConfig()

@@ -36,20 +36,20 @@ class TestMustValuesDisagree:
         dataset, config, graph, scorer = ctx
         node = RelationalNode(1, 2, (1, 2))
         graph.add_node(node)
-        assert _must_values_disagree(graph, scorer, node, config)
+        assert _must_values_disagree(graph, scorer, node)
 
     def test_atomic_node_means_agreement(self, ctx):
         dataset, config, graph, scorer = ctx
         node = RelationalNode(1, 2, (1, 2))
         node.atomic["first_name"] = AtomicNode("first_name", "mary", "mary", 1.0)
         graph.add_node(node)
-        assert not _must_values_disagree(graph, scorer, node, config)
+        assert not _must_values_disagree(graph, scorer, node)
 
     def test_missing_value_is_not_disagreement(self, ctx):
         dataset, config, graph, scorer = ctx
         node = RelationalNode(1, 3, (1, 3))  # record 3 has no first name
         graph.add_node(node)
-        assert not _must_values_disagree(graph, scorer, node, config)
+        assert not _must_values_disagree(graph, scorer, node)
 
 
 class TestRefinementAfterMerge:
