@@ -6,10 +6,12 @@ built dependency graph at once.  Byte-identity with the scalar path is
 not approximate — it holds because every floating-point operation is
 mirrored exactly:
 
-* the scalar code accumulates category sums with Python's left-to-right
-  ``sum()`` over attributes in schema order; here each attribute column
-  is added to an accumulator in the same order (absent attributes add
-  ``+0.0``, which is exact for the non-negative terms involved);
+* the scalar code accumulates category sums with the builtin ``sum()``
+  over attributes in schema order; here each category's attribute
+  columns go through :func:`~repro.utils.sums.builtin_sum` in the same
+  order, so they follow its left-to-right (before Python 3.12) or
+  compensated (from 3.12) arithmetic (absent attributes add ``+0.0``,
+  which is exact for the non-negative terms involved);
 * divisions and multiplications are elementwise IEEE-754 double ops —
   the same operations the scalar expressions perform, in the same
   association order;
@@ -25,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.schema import AttributeCategory, Schema
+from repro.utils.sums import builtin_sum
 
 __all__ = ["batch_atomic_similarity"]
 
@@ -65,8 +68,8 @@ def batch_atomic_similarity(
         names = schema.names_in(category)
         if not names:
             continue
-        den = np.zeros(n, dtype=np.float64)
-        num = np.zeros(n, dtype=np.float64)
+        weights: list[np.ndarray] = []
+        terms: list[np.ndarray] = []
         count = np.zeros(n, dtype=np.float64)
         for name in names:
             j = index_of[name]
@@ -81,9 +84,11 @@ def batch_atomic_similarity(
             weight = np.where(
                 matched, 1.0, np.where(present, present_weight, 0.0)
             )
-            den = den + weight
-            num = num + np.where(matched, sim, 0.0) * weight
+            weights.append(weight)
+            terms.append(np.where(matched, sim, 0.0) * weight)
             count = count + (state != STATE_ABSENT)
+        den = builtin_sum(weights)
+        num = builtin_sum(terms)
         active = den > 0.0
         category_sim = np.zeros(n, dtype=np.float64)
         np.divide(num, den, out=category_sim, where=active)

@@ -56,6 +56,8 @@ def bootstrap_merge(
         )
     merged_nodes = 0
     for group in graph.groups.values():
+        if len(group.node_keys) < 2:
+            continue  # most groups hold one node: no alive pair to find
         nodes = graph.alive_group_nodes(group)
         if len(nodes) < 2:
             continue

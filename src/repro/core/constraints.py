@@ -38,9 +38,11 @@ __all__ = ["ConstraintChecker"]
 class ConstraintChecker:
     """Validates whether two records (or their entities) may co-refer.
 
-    ``metrics``, when given, counts every :meth:`can_merge` rejection
-    split by level (``constraints.rejected_record_level`` /
-    ``constraints.rejected_entity_level``) — the PROP-C negative-evidence
+    Every :meth:`can_merge` rejection is counted by level in plain ints
+    (:attr:`rejected_record_level`, :attr:`rejected_entity_level`);
+    :meth:`publish_metrics` adds them to ``metrics``, when given, as
+    ``constraints.rejected_record_level`` /
+    ``constraints.rejected_entity_level`` — the PROP-C negative-evidence
     volume the telemetry reports surface.
     """
 
@@ -55,6 +57,8 @@ class ConstraintChecker:
         self.slack = temporal_slack_years
         self.propagate = propagate
         self.metrics = metrics
+        self.rejected_record_level = 0
+        self.rejected_entity_level = 0
         # (rid_a, rid_b) -> rejection level, precomputed by the graph
         # build for every worker count, under the both-entities-are-
         # singletons assumption: 0 = mergeable, 1 = record-level reject,
@@ -76,6 +80,22 @@ class ConstraintChecker:
         while both records still sit in single-record entities.
         """
         self._pair_validity = table
+
+    def publish_metrics(self) -> None:
+        """Add the rejection counts to ``metrics`` and restart them.
+
+        A counter is created only when it is non-zero.
+        """
+        if self.metrics is not None:
+            if self.rejected_record_level:
+                self.metrics.inc(
+                    "constraints.rejected_record_level", self.rejected_record_level
+                )
+            if self.rejected_entity_level:
+                self.metrics.inc(
+                    "constraints.rejected_entity_level", self.rejected_entity_level
+                )
+        self.rejected_record_level = self.rejected_entity_level = 0
 
     # ------------------------------------------------------------------
     # Record-level checks (always applied)
@@ -178,13 +198,11 @@ class ConstraintChecker:
                 (rid_a, rid_b) if rid_a < rid_b else (rid_b, rid_a)
             )
         if level == 1:
-            if self.metrics is not None:
-                self.metrics.inc("constraints.rejected_record_level")
+            self.rejected_record_level += 1
             return False
         if level is None:
             if not self.records_compatible(a, b):
-                if self.metrics is not None:
-                    self.metrics.inc("constraints.rejected_record_level")
+                self.rejected_record_level += 1
                 return False
             if not self.propagate:
                 return True
@@ -196,13 +214,11 @@ class ConstraintChecker:
             if len(ea.record_ids) == 1 and len(eb.record_ids) == 1:
                 if level == 0:
                     return True
-                if self.metrics is not None:
-                    self.metrics.inc("constraints.rejected_entity_level")
+                self.rejected_entity_level += 1
                 return False
             if not self.propagate:
                 return True
         if not self.entities_compatible(ea, eb):
-            if self.metrics is not None:
-                self.metrics.inc("constraints.rejected_entity_level")
+            self.rejected_entity_level += 1
             return False
         return True

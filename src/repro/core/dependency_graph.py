@@ -367,15 +367,25 @@ def _attach_atomic(graph, seeds, nodes, attribute, column, ia, ib, config, regis
         lo * len(values) + hi, return_index=True, return_inverse=True
     )
     pair_of = pair_of.reshape(-1)
-    distinct_sims = []
-    for x, y in zip(codes_a[first].tolist(), codes_b[first].tolist()):
-        fire("similarity.compare")
-        distinct_sims.append(
-            registry.compare(attribute, values[x], values[y]) or 0.0
-        )
-    admitted = np.array(
-        [sim >= config.atomic_threshold for sim in distinct_sims], dtype=bool
-    )
+    first_a, first_b = codes_a[first], codes_b[first]
+    batch = registry.batch_comparator(attribute)
+    if batch is None:
+        distinct_sims = []
+        for u, v in zip(first_a.tolist(), first_b.tolist()):
+            fire("similarity.compare")
+            distinct_sims.append(
+                registry.compare(attribute, values[u], values[v]) or 0.0
+            )
+        sims = np.array(distinct_sims, dtype=np.float64)
+    else:
+        # One fault-injection point per distinct pair, as in the loop.
+        for _ in range(len(first)):
+            fire("similarity.compare")
+        # ``Record.get`` reads a blank value as missing, so no value is
+        # the empty string ``compare()`` would refuse.
+        sims = batch(values, first_a, first_b)
+        distinct_sims = sims.tolist()
+    admitted = sims >= config.atomic_threshold
     for x, y, sim, ok in zip(
         lo[first].tolist(), hi[first].tolist(), distinct_sims, admitted.tolist()
     ):
@@ -387,9 +397,7 @@ def _attach_atomic(graph, seeds, nodes, attribute, column, ia, ib, config, regis
     n = len(nodes)
     node_admitted = admitted[pair_of]
     sim = np.zeros(n, dtype=np.float64)
-    sim[present] = np.where(
-        node_admitted, np.array(distinct_sims, dtype=np.float64)[pair_of], 0.0
-    )
+    sim[present] = np.where(node_admitted, sims[pair_of], 0.0)
     state = np.full(n, STATE_ABSENT, dtype=np.int8)
     state[present] = np.where(node_admitted, STATE_MATCHED, STATE_PRESENT)
 

@@ -139,12 +139,20 @@ class EntityStore:
         Sorted, so similarity ties resolve the same way on every run
         (and after a checkpoint restore).
         """
-        values = set()
-        for record in self.records_of(entity):
-            value = record.get(attribute)
-            if value is not None:
-                values.add(value)
-        return sorted(values)
+        return self.value_table(entity, (attribute,))[attribute]
+
+    def value_table(
+        self, entity: Entity, attributes: Iterable[str]
+    ) -> dict[str, list[str]]:
+        """:meth:`values_of` for each of ``attributes``, from one pass
+        over the entity's records."""
+        records = self.records_of(entity)
+        table = {}
+        for attribute in attributes:
+            values = {record.get(attribute) for record in records}
+            values.discard(None)
+            table[attribute] = sorted(values)
+        return table
 
     def matched_pairs(self, roles_a: frozenset[Role], roles_b: frozenset[Role]) -> set[tuple[int, int]]:
         """All within-entity record pairs with one role on each side.

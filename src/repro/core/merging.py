@@ -25,7 +25,9 @@ result (Bp-Dp quality collapses to zero).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
+
+import numpy as np
 
 from repro.core.config import SnapsConfig
 from repro.core.constraints import ConstraintChecker
@@ -33,6 +35,7 @@ from repro.core.dependency_graph import DependencyGraph, RelationalNode
 from repro.core.entities import EntityStore
 from repro.core.scoring import PairScorer
 from repro.obs.metrics import SIMILARITY_BUCKETS
+from repro.utils.sums import builtin_sum
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
     from repro.obs.metrics import MetricsRegistry
@@ -60,37 +63,91 @@ def iterative_merge(
     # groups with no alive node would sort last and be skipped anyway.
     nodes_of = graph.nodes
     alive: list = []
-    priorities: list[tuple[int, float]] = []
+    flat: list[RelationalNode] = []
+    sizes: list[int] = []
     for group in graph.groups.values():
-        nodes = [
-            node
-            for node in map(nodes_of.__getitem__, group.node_keys)
-            if not node.merged
-        ]
-        if not nodes:
+        keys = group.node_keys
+        if len(keys) == 1:
+            node = nodes_of[keys[0]]
+            if node.merged:
+                continue
+            alive.append(node)
+            flat.append(node)
+            sizes.append(1)
             continue
-        # Priority: group size, then mean combined similarity.  The queue
-        # is static (merging never creates groups), so a stably sorted
-        # list is the priority queue.
-        mean = sum(scorer.combined_similarity(n) for n in nodes) / len(nodes)
-        priorities.append((len(nodes), mean))
-        alive.append(nodes if len(nodes) > 1 else nodes[0])
-    order = sorted(range(len(alive)), key=priorities.__getitem__, reverse=True)
-    del priorities
+        nodes = [
+            node for node in map(nodes_of.__getitem__, keys) if not node.merged
+        ]
+        if nodes:
+            alive.append(nodes if len(nodes) > 1 else nodes[0])
+            flat += nodes
+            sizes.append(len(nodes))
+    # Priority: group size, then mean combined similarity.  The queue is
+    # static (merging never creates groups), so a stable sort is the
+    # priority queue: lexsort keeps equal keys in group order, as
+    # ``sorted(..., reverse=True)`` of (size, mean) tuples would.
+    size = np.array(sizes, dtype=np.int64)
+    mean = _group_means(scorer.combined_similarities(flat), size)
+    order = np.lexsort((-mean, -size)).tolist()
+    del flat, sizes, size, mean
+
+    record = graph.dataset.record
+    can_merge = checker.can_merge
+    same_entity = store.same_entity
+    propagate = scorer.propagate_values if config.use_propagation else None
+    has_must_evidence = scorer.has_must_evidence if config.use_relational else None
+    atomic_similarity = scorer.atomic_similarity
+    gate_similarity = (
+        scorer.combined_similarity if config.gate_on_combined else None
+    )
+    threshold = config.merge_threshold
+    observe_gate = None
+    if metrics is not None:
+        gate_histogram = None
+
+        def observe_gate(value: float) -> None:
+            # The histogram handle is fetched once, on the first gate.
+            nonlocal gate_histogram
+            if gate_histogram is None:
+                gate_histogram = metrics.histogram(
+                    "similarity.merge_gate", SIMILARITY_BUCKETS
+                )
+            gate_histogram.observe(value)
+
     merged_count = groups_merged = 0
     for index in order:
-        nodes = alive[index]
-        merged = _process_group(
-            nodes if type(nodes) is list else [nodes],
-            graph,
-            store,
-            scorer,
-            checker,
-            config,
-            metrics,
-        )
-        groups_merged += merged > 0
-        merged_count += merged
+        node = alive[index]
+        if type(node) is list:
+            merged = _process_group(
+                node, graph, store, scorer, checker, config, metrics, observe_gate
+            )
+            groups_merged += merged > 0
+            merged_count += merged
+            continue
+        # A lone node: the REL loop's calls for a one-node group, in its
+        # order, without the loop.  It is gated on its combined or atomic
+        # similarity (``gate_on_combined``, see ``_process_group``), and
+        # a node the loop would drop ends the group.
+        rid_a, rid_b = node.rid_a, node.rid_b
+        a, b = record(rid_a), record(rid_b)
+        if not (can_merge(store, a, b) or same_entity(rid_a, rid_b)):
+            continue
+        if propagate is not None:
+            propagate(graph, node, store)
+        if has_must_evidence is not None and not has_must_evidence(node):
+            continue
+        gate = atomic_similarity(node)
+        if gate_similarity is not None:
+            gate = gate_similarity(node)
+        if observe_gate is not None:
+            observe_gate(gate)
+        if gate >= threshold and (
+            same_entity(rid_a, rid_b) or can_merge(store, a, b)
+        ):
+            store.merge(rid_a, rid_b)
+            node.merged = True
+            groups_merged += 1
+            merged_count += 1
     if metrics is not None:
         # Group outcomes are counted once, at the end; a counter is
         # created only when it is non-zero.
@@ -102,6 +159,30 @@ def iterative_merge(
     return merged_count
 
 
+def _group_means(combined: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Each group's ``sum(similarities) / len(group)``, bit for bit.
+
+    ``combined`` lists the groups' node similarities one group after
+    another.  A lone node's mean is its similarity (``sum([x]) / 1`` is
+    ``x``).  For larger groups, column ``j`` holds each group's ``j``-th
+    similarity (0.0 past its end), and the columns are summed as builtin
+    ``sum()`` adds a group's similarities in order.
+    """
+    starts = np.cumsum(sizes) - sizes
+    means = combined[starts]
+    multi = np.flatnonzero(sizes > 1)
+    if len(multi):
+        first, size = starts[multi], sizes[multi]
+        columns = []
+        for j in range(int(size.max())):
+            rows = np.flatnonzero(size > j)
+            column = np.zeros(len(multi), dtype=np.float64)
+            column[rows] = combined[first[rows] + j]
+            columns.append(column)
+        means[multi] = builtin_sum(columns) / size
+    return means
+
+
 def _process_group(
     nodes: list[RelationalNode],
     graph: DependencyGraph,
@@ -110,6 +191,7 @@ def _process_group(
     checker: ConstraintChecker,
     config: SnapsConfig,
     metrics: "MetricsRegistry | None" = None,
+    observe_gate: "Callable[[float], None] | None" = None,
 ) -> int:
     """Apply the REL loop to one group; return nodes merged.
 
@@ -189,8 +271,8 @@ def _process_group(
             mean_gate = scorer.combined_similarity(valid[0])
         else:
             mean_gate = atomic[0]
-        if metrics is not None:
-            metrics.observe("similarity.merge_gate", mean_gate, SIMILARITY_BUCKETS)
+        if observe_gate is not None:
+            observe_gate(mean_gate)
         if mean_gate >= config.merge_threshold:
             merged = 0
             for node in valid:

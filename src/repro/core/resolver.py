@@ -392,6 +392,7 @@ class SnapsResolver:
                     refinement.bridges_cut,
                 )
         scorer.publish_cache_metrics(metrics)
+        checker.publish_metrics()
         if metrics is not None:
             metrics.inc("resolver.runs")
             metrics.inc("resolver.records", len(dataset))

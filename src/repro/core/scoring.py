@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.core.config import SnapsConfig
 from repro.core.dependency_graph import AtomicNode, DependencyGraph, RelationalNode
 from repro.core.entities import EntityStore
@@ -136,7 +138,9 @@ class PairScorer:
         # computed; a call with another graph starts the memo afresh.
         self._propagate_memo: dict[tuple, dict[str, AtomicNode | None]] = {}
         self._memo_graph: DependencyGraph | None = None
-        self._entity_values: dict[tuple[int, int, str], list[str]] = {}
+        # PROP-A value tables: (entity_id, size) -> attribute -> the
+        # entity's sorted distinct values (``EntityStore.value_table``).
+        self._entity_values: dict[tuple[int, int], dict[str, list[str]]] = {}
         self._sim_hits = 0
         self._sim_misses = 0
         self._node_hits = 0
@@ -269,21 +273,37 @@ class PairScorer:
     def _best_pair(
         self, attribute: str, values_a: list[str], values_b: list[str]
     ) -> AtomicNode | None:
-        """Highest-similarity cross pair of the two value lists."""
-        best: AtomicNode | None = None
+        """Highest-similarity cross pair of the two value lists.
+
+        Reads :meth:`value_similarity`'s cache inline (counting its hits)
+        and builds the winning atomic node once, at the end.
+        """
+        cache = self._sim_cache
+        hits = 0
+        best_a = best_b = None
+        best_similarity = 0.0
         for va in values_a:
-            if best is not None and best.similarity >= 1.0:
+            if best_a is not None and best_similarity >= 1.0:
                 break
             for vb in values_b:
-                similarity = self.value_similarity(attribute, va, vb)
-                if best is None or similarity > best.similarity:
-                    best = AtomicNode(attribute, va, vb, similarity)
+                similarity = cache.get(
+                    (attribute, va, vb) if va <= vb else (attribute, vb, va)
+                )
+                if similarity is None:
+                    similarity = self.value_similarity(attribute, va, vb)
+                else:
+                    hits += 1
+                if best_a is None or similarity > best_similarity:
+                    best_a, best_b, best_similarity = va, vb, similarity
                     if similarity >= 1.0:
                         # Comparators are bounded by 1.0 and the update
                         # test is strict `>`: nothing can displace an
                         # exact match, so stop scanning.
                         break
-        return best
+        self._sim_hits += hits
+        if best_a is None:
+            return None
+        return AtomicNode(attribute, best_a, best_b, best_similarity)
 
     def _best_pairs(
         self, store: EntityStore, entity_a, entity_b
@@ -296,9 +316,11 @@ class PairScorer:
         skip case).
         """
         memo: dict[str, AtomicNode | None] = {}
+        table_a = self._values_of(entity_a, store)
+        table_b = self._values_of(entity_b, store)
         for attribute in self.config.schema.names():
-            values_a = self._values_of(entity_a, attribute, store)
-            values_b = self._values_of(entity_b, attribute, store)
+            values_a = table_a[attribute]
+            values_b = table_b[attribute]
             if not values_a or not values_b:
                 continue
             best = self._best_pair(attribute, values_a, values_b)
@@ -308,13 +330,16 @@ class PairScorer:
                 memo[attribute] = None
         return memo
 
-    def _values_of(self, entity, attribute: str, store: EntityStore) -> list[str]:
-        """Memoised ``store.values_of`` keyed by entity state."""
-        key = (entity.entity_id, len(entity.record_ids), attribute)
-        values = self._entity_values.get(key)
-        if values is None:
-            values = self._entity_values[key] = store.values_of(entity, attribute)
-        return values
+    def _values_of(self, entity, store: EntityStore) -> dict[str, list[str]]:
+        """``store.value_table`` of every schema attribute, memoised by
+        entity state."""
+        key = (entity.entity_id, len(entity.record_ids))
+        table = self._entity_values.get(key)
+        if table is None:
+            table = self._entity_values[key] = store.value_table(
+                entity, self.config.schema.names()
+            )
+        return table
 
     # ------------------------------------------------------------------
     # Equations (1)-(3)
@@ -330,7 +355,10 @@ class PairScorer:
         members).
         """
         atomic = node.atomic
-        return any(attribute in atomic for attribute in self.must_names)
+        for attribute in self.must_names:
+            if attribute in atomic:
+                return True
+        return False
 
     def atomic_similarity(self, node: RelationalNode) -> float:
         """Equation (1), memoised per seeded node."""
@@ -416,6 +444,32 @@ class PairScorer:
         freq = self.frequencies.frequency(a) + self.frequencies.frequency(b)
         score = math.log2(n / freq) / math.log2(n)
         return min(1.0, max(0.0, score))
+
+    def combined_similarities(self, nodes: list[RelationalNode]) -> np.ndarray:
+        """:meth:`combined_similarity` of every node, as a float64 array.
+
+        Nodes with a seeded ``s_a`` are scored from the seed table in one
+        array expression, with the scalar method's operation order; the
+        rest (unseeded nodes, and undated ones under temporal decay) go
+        through :meth:`combined_similarity` itself.  The node-cache
+        counters move as the per-node calls would move them.
+        """
+        get = self._node_scores.get
+        unseeded = (None, None)
+        scores = np.array(
+            [get((node.rid_a, node.rid_b), unseeded) for node in nodes],
+            dtype=np.float64,
+        ).reshape(len(nodes), 2)  # a missing score reads as NaN
+        gamma = self.config.effective_gamma
+        if gamma >= 1.0:
+            combined = scores[:, 0]
+        else:
+            combined = gamma * scores[:, 0] + (1.0 - gamma) * scores[:, 1]
+        rest = np.flatnonzero(np.isnan(scores[:, 0])).tolist()
+        self._node_hits += (len(nodes) - len(rest)) * (1 if gamma >= 1.0 else 2)
+        for k in rest:
+            combined[k] = self.combined_similarity(nodes[k])
+        return combined
 
     def combined_similarity(self, node: RelationalNode) -> float:
         """Equation (3): γ·s_a + (1-γ)·s_d (γ=1 when AMB is ablated)."""

@@ -35,11 +35,14 @@ class Pedigree:
 
         Computed from parent/child edges along a BFS; spouses share their
         partner's generation.  Entities unreachable through typed edges
-        default to the root's generation.
+        default to the root's generation.  Each call reruns the BFS: to
+        label every entity, read :meth:`generations` once instead.
         """
-        return self._generations().get(entity_id, 0)
+        return self.generations().get(entity_id, 0)
 
-    def _generations(self) -> dict[int, int]:
+    def generations(self) -> dict[int, int]:
+        """Generation of every entity the BFS reaches (see
+        :meth:`generation_of`; absent entities are at generation 0)."""
         from repro.pedigree.graph import CHILD_OF, FATHER_OF, MOTHER_OF, SPOUSE_OF
 
         generation = {self.root_id: 0}

@@ -30,10 +30,11 @@ def render_ascii_tree(pedigree: Pedigree) -> str:
     The root entity is starred.  Spouse pairs are shown joined with ``⚭``;
     parent→child edges are listed under each person.
     """
+    generation_of = pedigree.generations()
     by_generation: dict[int, list[int]] = {}
     for entity_id in pedigree.entities:
         by_generation.setdefault(
-            pedigree.generation_of(entity_id), []
+            generation_of.get(entity_id, 0), []
         ).append(entity_id)
     lines: list[str] = []
     spouse_pairs = {
@@ -60,7 +61,7 @@ def render_ascii_tree(pedigree: Pedigree) -> str:
                     b if a == entity_id else a
                     for a, b in spouse_pairs
                     if entity_id in (a, b)
-                    and pedigree.generation_of(b if a == entity_id else a)
+                    and generation_of.get(b if a == entity_id else a, 0)
                     == generation
                 ),
                 None,

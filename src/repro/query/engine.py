@@ -36,7 +36,6 @@ the serving layer does.
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import dataclass, field
 
@@ -50,6 +49,7 @@ from repro.obs.logs import get_logger
 from repro.obs.metrics import LATENCY_BUCKETS_S, MetricsRegistry
 from repro.obs.trace import Trace
 from repro.pedigree.graph import PedigreeEntity, PedigreeGraph
+from repro.utils.sums import builtin_sum
 
 __all__ = ["Query", "QueryEngine", "RankedMatch"]
 
@@ -64,27 +64,6 @@ DEFAULT_WEIGHTS: dict[str, float] = {
     "year": 0.2,
     "parish": 0.1,
 }
-
-# Builtin sum() of floats is compensated (Neumaier) from Python 3.12 on.
-_COMPENSATED_SUM = sys.version_info >= (3, 12)
-
-
-def _builtin_sum(terms: list[np.ndarray]) -> np.ndarray:
-    """Element-wise ``sum(terms)``: per position, the float builtin
-    ``sum()`` of the terms in order returns on this Python, so the
-    scores equal a per-entity ``sum()`` bit for bit."""
-    total = terms[0]  # sum() starts at int 0, and 0 + x is exactly x
-    compensation = np.zeros_like(total)
-    for term in terms[1:]:
-        running = total + term
-        if _COMPENSATED_SUM:
-            compensation += np.where(
-                np.abs(total) >= np.abs(term),
-                (total - running) + term,
-                (term - running) + total,
-            )
-        total = running
-    return total + compensation if _COMPENSATED_SUM else total
 
 
 @dataclass(frozen=True)
@@ -349,7 +328,7 @@ class QueryEngine:
                 if query.parish is not None:
                     provided.append("parish")
                 max_score = sum(self.weights[a] for a in provided)
-                total = _builtin_sum([
+                total = builtin_sum([
                     self.weights[attribute] * scores[attribute]
                     for attribute in provided
                 ])

@@ -60,10 +60,11 @@ def pedigree_payload(pedigree: Pedigree) -> dict:
     """The ``format=json`` pedigree body: entities with hop/generation
     annotations plus the typed edges among them."""
     entities = []
+    generations = pedigree.generations()
     for entity_id in sorted(pedigree.entities):
         blob = entity_to_dict(pedigree.entities[entity_id])
         blob["hops"] = pedigree.hops[entity_id]
-        blob["generation"] = pedigree.generation_of(entity_id)
+        blob["generation"] = generations.get(entity_id, 0)
         entities.append(blob)
     return {
         "root_id": pedigree.root_id,

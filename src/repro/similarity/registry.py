@@ -12,18 +12,29 @@ from __future__ import annotations
 
 from typing import Callable
 
+import numpy as np
+
 from repro.similarity.jaccard import token_jaccard
-from repro.similarity.jaro import jaro_winkler_similarity
+from repro.similarity.jaro import (
+    code_matrix,
+    jaro_winkler_pairs,
+    jaro_winkler_similarity,
+)
 from repro.similarity.numeric import max_abs_diff_similarity
 
 __all__ = [
     "ComparatorRegistry",
     "default_registry",
+    "jaro_winkler_similarity_pairs",
     "name_similarity",
+    "name_similarity_pairs",
     "registry_for_config",
 ]
 
 Comparator = Callable[[str, str], float]
+# The array form of a comparator: (values, x, y) -> the comparator of
+# values[x[k]] and values[y[k]] for every k, as a float64 array.
+BatchComparator = Callable[[list[str], np.ndarray, np.ndarray], np.ndarray]
 
 
 def name_similarity(a: str, b: str) -> float:
@@ -46,6 +57,43 @@ def name_similarity(a: str, b: str) -> float:
     return max(raw, 0.95 * canonical)
 
 
+def jaro_winkler_similarity_pairs(
+    values: list[str], x: np.ndarray, y: np.ndarray
+) -> np.ndarray:
+    """:func:`jaro_winkler_similarity` of ``values[x[k]]`` and
+    ``values[y[k]]`` for every ``k``, bit for bit."""
+    codes, lengths = code_matrix(values)
+    return jaro_winkler_pairs(codes[x], lengths[x], codes[y], lengths[y])
+
+
+def name_similarity_pairs(
+    values: list[str], x: np.ndarray, y: np.ndarray
+) -> np.ndarray:
+    """:func:`name_similarity` of ``values[x[k]]`` and ``values[y[k]]``
+    for every ``k``, bit for bit.
+
+    Raw Jaro-Winkler for every pair; canonical-form Jaro-Winkler only for
+    the pairs whose raw score is not 1.0, each value canonicalised once.
+    """
+    from repro.data.normalize import canonical_name_phrase
+
+    similarity = jaro_winkler_similarity_pairs(values, x, y)
+    rest = np.flatnonzero(similarity != 1.0)
+    if len(rest):
+        canonical = [canonical_name_phrase(value) for value in values]
+        boosted = 0.95 * jaro_winkler_similarity_pairs(canonical, x[rest], y[rest])
+        similarity[rest] = np.maximum(similarity[rest], boosted)
+    return similarity
+
+
+# Comparators with an array form, which build-time callers use to score
+# many value pairs at once.
+_BATCH_FORMS: dict[Comparator, BatchComparator] = {
+    jaro_winkler_similarity: jaro_winkler_similarity_pairs,
+    name_similarity: name_similarity_pairs,
+}
+
+
 class ComparatorRegistry:
     """Dispatch table from attribute name to a [0, 1] comparator.
 
@@ -64,6 +112,15 @@ class ComparatorRegistry:
     def comparator(self, attribute: str) -> Comparator:
         """Return the comparator for ``attribute`` (or the default)."""
         return self._comparators.get(attribute, self._default)
+
+    def batch_comparator(self, attribute: str) -> BatchComparator | None:
+        """The array form of ``attribute``'s comparator, or ``None`` when
+        it has none.
+
+        The form scores the values themselves: unlike :meth:`compare` it
+        gives an empty string no special treatment.
+        """
+        return _BATCH_FORMS.get(self.comparator(attribute))
 
     def compare(self, attribute: str, a: str | None, b: str | None) -> float | None:
         """Compare two values of ``attribute``.

@@ -1,30 +1,40 @@
 """Parity of the iterative merge loop with its straightforward form.
 
-``iterative_merge`` computes each group's alive nodes once, looks the
-pair-validity seed and each record's entity up once per ``can_merge``,
-registers PROP-A's atomic nodes once per memo entry, and reads category
-attribute names precomputed by the scorer.  The oracle below is the loop
-as it read before those shortcuts (group priorities and processing each
-re-deriving alive nodes, ``can_merge`` repeating lookups, PROP-A
-registering on every application).  Both run on identically prepared
-states, seeded as in ``SnapsResolver.resolve`` and unseeded as in
+``iterative_merge`` computes each group's alive nodes once, ranks the
+groups with one array pass over the scorer's seeded scores, runs a
+one-node group straight through instead of through the REL loop, looks
+the pair-validity seed and each record's entity up once per
+``can_merge``, registers PROP-A's atomic nodes once per memo entry, and
+reads category attribute names precomputed by the scorer.  The oracle
+below is the loop as it read before those shortcuts (group priorities as
+``sorted`` tuples of per-node ``combined_similarity`` means, every group
+through the REL loop, ``can_merge`` repeating lookups and counting each
+rejection into the registry, PROP-A registering on every application).
+Both run on identically prepared states, seeded as in
+``SnapsResolver.resolve`` and unseeded as in
 ``ActiveLearningLoop.remerge``, under the default configuration, with
-REL, PROP and AMB ablated, and with a two-Must schema; every observable
+REL, PROP and AMB ablated, and with a two-Must schema; crafted states add
+tied priorities and partly or wholly merged groups.  Every observable
 outcome must match: the entity store, every node's atomic evidence and
 merged flag, |N_A|, and the constraint, scoring and merging telemetry.
 """
 
 from __future__ import annotations
 
+import sys
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.blocking.candidates import CandidatePair
 from repro.core.bootstrap import bootstrap_merge
 from repro.core.config import SnapsConfig
 from repro.core.constraints import ConstraintChecker
-from repro.core.dependency_graph import build_graph_and_seeds
+from repro.core.dependency_graph import AtomicNode, build_graph_and_seeds
 from repro.core.entities import EntityStore
-from repro.core.merging import iterative_merge
+from repro.core.merging import _group_means, iterative_merge
 from repro.core.resolver import SnapsResolver
 from repro.core.scoring import NameFrequencyIndex, PairScorer
 from repro.data.schema import AttributeCategory, AttributeSpec, Schema
@@ -199,6 +209,36 @@ def oracle_process_group(nodes, graph, store, scorer, checker, config, metrics):
     return 0
 
 
+def oracle_bootstrap_merge(graph, store, scorer, checker, config, metrics=None):
+    histogram = None
+    if metrics is not None:
+        histogram = metrics.histogram(
+            "similarity.bootstrap_group_mean", SIMILARITY_BUCKETS
+        )
+    merged_nodes = 0
+    for group in graph.groups.values():
+        nodes = graph.alive_group_nodes(group)
+        if len(nodes) < 2:
+            continue
+        mean_atomic = sum(scorer.atomic_similarity(n) for n in nodes) / len(nodes)
+        if histogram is not None:
+            histogram.observe(mean_atomic)
+        if mean_atomic < config.bootstrap_threshold:
+            continue
+        records = [graph.records_of(node) for node in nodes]
+        if not all(checker.records_compatible(a, b) for a, b in records):
+            continue
+        for node, (a, b) in zip(nodes, records):
+            if not oracle_can_merge(checker, store, a, b):
+                continue
+            store.merge(node.rid_a, node.rid_b)
+            node.merged = True
+            merged_nodes += 1
+    if metrics is not None:
+        metrics.inc("bootstrap.nodes_merged", merged_nodes)
+    return merged_nodes
+
+
 def oracle_iterative_merge(graph, store, scorer, checker, config, metrics=None):
     groups = list(graph.groups.values())
 
@@ -255,9 +295,12 @@ CONFIGS = {
 #: How the first pass's scorer and checker are prepared: seeded from the
 #: graph build as in ``SnapsResolver.resolve``; seeded with every third
 #: mergeable verdict turned into a singleton-state entity-level reject
-#: (level 2, which the build never emits but the checker accepts); or
-#: unseeded.
-SEEDINGS = ("seeded", "level2", "unseeded")
+#: (level 2, which the build never emits but the checker accepts);
+#: seeded with every score rounded to a quarter, so that many groups tie
+#: on both size and mean and the queue's tie order decides, and every
+#: fifth s_a left out (as the build leaves an undated pair's under
+#: temporal decay); or unseeded.
+SEEDINGS = ("seeded", "level2", "ties", "unseeded")
 
 
 @pytest.fixture(scope="module")
@@ -281,11 +324,44 @@ def pairs(dataset):
     }
 
 
-def _run(dataset, pairs, config, seeding, merge):
-    """Bootstrap, merge with ``merge``, then remerge unseeded with it.
+def _quarter(score):
+    return None if score is None else round(score * 4) / 4
 
-    Returns the observable state after each of the two merge passes.
+
+def _premerge(graph, store, every) -> None:
+    """Merge nodes by hand: with ``every == "all"`` every node; else, of
+    every ``every``-th group with two or more alive nodes, all nodes in
+    one such group, then only the first in the next, and so on (a
+    two-node group is then left with one)."""
+    if every == "all":
+        groups, step = list(graph.groups.values()), 1
+    else:
+        groups = [
+            group
+            for group in graph.groups.values()
+            if len(graph.alive_group_nodes(group)) >= 2
+        ]
+        step = every
+    for i, group in enumerate(groups[::step]):
+        nodes = graph.alive_group_nodes(group)
+        for node in nodes if every == "all" or i % 2 == 0 else nodes[:1]:
+            store.merge(node.rid_a, node.rid_b)
+            node.merged = True
+
+
+#: The bootstrap and merge steps under test, and their oracles.
+ORACLE = (oracle_bootstrap_merge, oracle_iterative_merge)
+ACTUAL = (bootstrap_merge, iterative_merge)
+
+
+def _run(dataset, pairs, config, seeding, steps, premerge=None):
+    """Bootstrap, merge, then remerge unseeded, with ``steps``.
+
+    ``premerge`` merges nodes by hand after the bootstrap (see
+    :func:`_premerge`).  Returns the observable state after each of the
+    two merge passes.
     """
+    bootstrap, merge = steps
     registry = SnapsResolver(config).registry
     frequencies = NameFrequencyIndex(dataset)
     graph, seeds = build_graph_and_seeds(
@@ -304,12 +380,21 @@ def _run(dataset, pairs, config, seeding, merge):
                 key: 2 if level == 0 and i % 3 == 0 else level
                 for i, (key, level) in enumerate(validity.items())
             }
-        scorer.seed_caches(seeds.sim_table, seeds.node_scores)
+        node_scores = seeds.node_scores
+        if seeding == "ties":
+            node_scores = {
+                key: [None if i % 5 == 0 else _quarter(s_a), _quarter(s_d)]
+                for i, (key, (s_a, s_d)) in enumerate(node_scores.items())
+            }
+        scorer.seed_caches(seeds.sim_table, node_scores)
         checker.seed_pair_validity(validity)
-    bootstrap_merge(graph, store, scorer, checker, config, metrics)
+    bootstrap(graph, store, scorer, checker, config, metrics)
+    if premerge:
+        _premerge(graph, store, premerge)
     outcomes = []
     merged = merge(graph, store, scorer, checker, config, metrics)
     scorer.publish_cache_metrics(metrics)
+    checker.publish_metrics()
     outcomes.append(_observe(graph, store, metrics, merged))
     # The remerge pass of active learning: a fresh unseeded scorer and
     # checker over the merged state, after a few confirmations that join
@@ -330,6 +415,7 @@ def _run(dataset, pairs, config, seeding, merge):
     )
     merged = merge(graph, store, scorer, checker, config, metrics)
     scorer.publish_cache_metrics(metrics)
+    checker.publish_metrics()
     outcomes.append(_observe(graph, store, metrics, merged))
     return outcomes
 
@@ -350,14 +436,8 @@ def _observe(graph, store, metrics, merged) -> dict:
     }
 
 
-@pytest.mark.parametrize("seeding", SEEDINGS)
-@pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_merge_matches_oracle(dataset, pairs, name, seeding):
-    config = CONFIGS[name]
-    expected = _run(dataset, pairs[name], config, seeding, oracle_iterative_merge)
-    actual = _run(dataset, pairs[name], config, seeding, iterative_merge)
-    assert expected[0]["merged"] > 0
-    for want, got in zip(expected, actual):
+def _assert_same(expected, actual) -> None:
+    for want, got in zip(expected, actual, strict=True):
         assert got["merged"] == want["merged"]
         assert got["store"] == want["store"]
         assert got["n_atomic"] == want["n_atomic"]
@@ -365,3 +445,146 @@ def test_merge_matches_oracle(dataset, pairs, name, seeding):
         assert got["counters"] == want["counters"]
         assert got["gauges"] == want["gauges"]
         assert got["histograms"] == want["histograms"]
+
+
+@pytest.mark.parametrize("seeding", SEEDINGS)
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_merge_matches_oracle(dataset, pairs, name, seeding):
+    config = CONFIGS[name]
+    expected = _run(dataset, pairs[name], config, seeding, ORACLE)
+    actual = _run(dataset, pairs[name], config, seeding, ACTUAL)
+    assert expected[0]["merged"] > 0
+    _assert_same(expected, actual)
+
+
+@pytest.mark.parametrize("seeding", ("ties", "unseeded"))
+@pytest.mark.parametrize("name", ("default", "no-amb"))
+def test_partly_merged_groups_match_oracle(dataset, pairs, name, seeding):
+    config = CONFIGS[name]
+    expected = _run(dataset, pairs[name], config, seeding, ORACLE, premerge=3)
+    actual = _run(dataset, pairs[name], config, seeding, ACTUAL, premerge=3)
+    assert expected[0]["merged"] > 0
+    _assert_same(expected, actual)
+
+
+def test_all_merged_groups_match_oracle(dataset, pairs):
+    """Every node merged before the pass: nothing is queued, no gate is
+    observed, and no gate histogram is created."""
+    config = CONFIGS["default"]
+    expected = _run(dataset, pairs["default"], config, "seeded", ORACLE, "all")
+    actual = _run(dataset, pairs["default"], config, "seeded", ACTUAL, "all")
+    assert expected[0]["merged"] == 0
+    assert "similarity.merge_gate" not in expected[0]["histograms"]
+    _assert_same(expected, actual)
+
+
+@given(
+    groups=st.lists(
+        st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=6),
+        max_size=12,
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_group_means_equal_builtin_sum(groups):
+    """The queue's group means are ``sum(group) / len(group)`` bit for
+    bit, the order of the terms included."""
+    flat = np.array([value for group in groups for value in group], dtype=np.float64)
+    sizes = np.array([len(group) for group in groups], dtype=np.int64)
+    got = _group_means(flat, sizes).tolist()
+    assert got == [sum(group) / len(group) for group in groups]
+
+
+def test_group_means_keep_term_order():
+    # 0.1 + 0.2 + 0.3 and 0.3 + 0.2 + 0.1 round apart.
+    got = _group_means(np.array([0.1, 0.2, 0.3, 0.3, 0.2, 0.1]), np.array([3, 3]))
+    assert got.tolist() == [sum([0.1, 0.2, 0.3]) / 3, sum([0.3, 0.2, 0.1]) / 3]
+    if sys.version_info < (3, 12):  # a compensated sum rounds both to 0.6
+        assert got[0] != got[1]
+
+
+def oracle_best_pair(scorer, attribute, values_a, values_b):
+    best = None
+    for va in values_a:
+        if best is not None and best.similarity >= 1.0:
+            break
+        for vb in values_b:
+            similarity = scorer.value_similarity(attribute, va, vb)
+            if best is None or similarity > best.similarity:
+                best = AtomicNode(attribute, va, vb, similarity)
+                if similarity >= 1.0:
+                    break
+    return best
+
+
+_VALUES = st.lists(
+    st.sampled_from(["ann", "anne", "anna", "mary", "m", "f", "1 high st", "high st"]),
+    min_size=1,
+    max_size=5,
+    unique=True,
+)
+
+
+@given(
+    attribute=st.sampled_from(["first_name", "gender", "address"]),
+    values_a=_VALUES,
+    values_b=_VALUES,
+)
+@settings(max_examples=200, deadline=None)
+def test_best_pair_matches_oracle(dataset, attribute, values_a, values_b):
+    """PROP-A's best cross pair, ties included (exact and token
+    comparators tie often), and the similarity-cache counters."""
+    config = SnapsConfig()
+    actual, expected = PairScorer(dataset, config), PairScorer(dataset, config)
+    for scorer in (actual, expected):  # a warm cache: hits and misses both
+        scorer.value_similarity(attribute, values_a[0], values_b[0])
+    got = actual._best_pair(attribute, values_a, values_b)
+    want = oracle_best_pair(expected, attribute, values_a, values_b)
+    assert got == want
+    assert (actual._sim_hits, actual._sim_misses) == (
+        expected._sim_hits,
+        expected._sim_misses,
+    )
+
+
+def test_value_tables_match_store(dataset, pairs):
+    """One PROP-A value table per entity state holds what
+    ``EntityStore.values_of`` gives for every attribute."""
+    config = CONFIGS["two-must"]
+    _, seeds = build_graph_and_seeds(dataset, pairs["default"], config)
+    store = EntityStore(dataset)
+    for rid_a, rid_b in list(seeds.node_scores)[::7]:
+        store.merge(rid_a, rid_b)
+    scorer = PairScorer(dataset, config)
+    entities = list(store.entities())
+    assert any(len(entity) > 2 for entity in entities)
+    for entity in entities:
+        table = scorer._values_of(entity, store)
+        assert table == {
+            attribute: store.values_of(entity, attribute)
+            for attribute in config.schema.names()
+        }
+
+
+def test_queue_ties_occur(dataset, pairs):
+    """The tie seeding really ties groups on (size, mean), including
+    lone-node groups, so the queue's tie order is exercised."""
+    config = CONFIGS["default"]
+    graph, seeds = build_graph_and_seeds(
+        dataset, pairs["default"], config, SnapsResolver(config).registry
+    )
+    scorer = PairScorer(dataset, config)
+    scorer.seed_caches(
+        seeds.sim_table,
+        {key: [_quarter(a), _quarter(d)] for key, (a, d) in seeds.node_scores.items()},
+    )
+    priorities = [
+        (
+            len(group.node_keys),
+            sum(scorer.combined_similarity(graph.nodes[k]) for k in group.node_keys)
+            / len(group.node_keys),
+        )
+        for group in graph.groups.values()
+    ]
+    repeated = {p for p in priorities if priorities.count(p) > 1}
+    assert any(size == 1 for size, _ in repeated)
+    assert any(size > 1 for size, _ in repeated)

@@ -73,3 +73,40 @@ class TestGenerations:
         shallow = extract_pedigree(graph, entity.entity_id, 2)
         assert set(shallow.entities) <= set(deep.entities)
         assert all(0 <= hop <= 6 for hop in deep.hops.values())
+
+
+class TestGenerationMapOnce:
+    """The JSON payload and the ASCII tree label every entity from one
+    generation map per pedigree, with the values ``generation_of`` gives."""
+
+    def test_payload_generations_match_generation_of(self, three_generation_graph):
+        from repro.serve.serialization import pedigree_payload
+
+        for entity in three_generation_graph:
+            pedigree = extract_pedigree(three_generation_graph, entity.entity_id)
+            payload = pedigree_payload(pedigree)
+            assert [blob["generation"] for blob in payload["entities"]] == [
+                pedigree.generation_of(entity_id)
+                for entity_id in sorted(pedigree.entities)
+            ]
+
+    def test_one_bfs_per_rendering(self, three_generation_graph, monkeypatch):
+        from repro.pedigree.extraction import Pedigree
+        from repro.pedigree.visualize import render_ascii_tree
+        from repro.serve.serialization import pedigree_payload
+
+        runs = []
+        generations = Pedigree.generations
+
+        def counted(self):
+            runs.append(self.root_id)
+            return generations(self)
+
+        monkeypatch.setattr(Pedigree, "generations", counted)
+        entity = _entity_with_parents_and_children(three_generation_graph)
+        pedigree = extract_pedigree(three_generation_graph, entity.entity_id)
+        assert len(pedigree) > 3
+        pedigree_payload(pedigree)
+        assert len(runs) == 1
+        render_ascii_tree(pedigree)
+        assert len(runs) == 2

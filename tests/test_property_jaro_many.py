@@ -1,23 +1,38 @@
 """The vectorized Jaro-Winkler kernel against the scalar reference.
 
 ``jaro_winkler_many`` scores one string against a code-point matrix of
-candidates; it must give every candidate exactly (bit for bit) the float
-``jaro_winkler_similarity`` gives.  The similarity-aware index is built
-with it, so its arrays must also equal a build with the scalar function.
+candidates, and ``jaro_winkler_pairs`` row k of one matrix against row k
+of another; both must give every row exactly (bit for bit) the float
+``jaro_winkler_similarity`` gives, and the batch name comparator the
+float ``name_similarity`` gives.  The similarity-aware index is built
+with the kernel, so its arrays must also equal a build with the scalar
+function.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import SnapsConfig, SnapsResolver
+from repro.core import dependency_graph
+from repro.core.dependency_graph import build_graph_and_seeds
+from repro.faults import InjectedFault, fire, injected
 from repro.index.arrays import offsets, str_array
 from repro.index.simindex import SimilarityAwareIndex
 from repro.similarity.jaro import (
     code_matrix,
     jaro_winkler_many,
+    jaro_winkler_pairs,
     jaro_winkler_similarity,
 )
 from repro.similarity.qgram import bigrams
+from repro.similarity.registry import (
+    ComparatorRegistry,
+    default_registry,
+    jaro_winkler_similarity_pairs,
+    name_similarity,
+    name_similarity_pairs,
+)
 
 # NUL is the padding of fixed-width unicode arrays, so it never occurs in
 # an indexed value.
@@ -142,3 +157,194 @@ class TestIndexMatchesScalarBuild:
         expected = [(c, s) for c, s in expected if s >= 0.5]
         assert index.matches(probe) == expected
         assert index.matches(probe) == expected  # cached answer
+
+
+# ----------------------------------------------------------------------
+# The pairwise kernel and the batch name comparator
+# ----------------------------------------------------------------------
+
+# Pairwise rows come from plain lists, whose lengths count NULs, so NUL is
+# allowed here; so are non-BMP characters (one code point each).
+_PAIR_ANY = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",)), max_size=24
+)
+_NAMES = st.sampled_from(
+    ["effie", "euphemia", "effy", "mary", "marion", "maggie", "margaret",
+     "jean", "jane", "ann", "anne", "jessie", "janet", "", "a"]
+)
+pair_strings = st.one_of(
+    _SMALL, _WIDE, _PAIR_ANY, _NAMES,
+    st.sampled_from(["\x00", "a\x00", "\x00a", "𝔄𝔅", "😀x", "x" * 40]),
+)
+
+
+def _assert_pairs_identical(left: list[str], right: list[str]) -> None:
+    got = jaro_winkler_pairs(*code_matrix(left), *code_matrix(right))
+    expected = np.asarray(
+        [jaro_winkler_similarity(a, b) for a, b in zip(left, right)],
+        dtype=np.float64,
+    )
+    assert got.dtype == np.float64
+    assert got.tobytes() == expected.tobytes()
+
+
+class TestPairsKernelMatchesScalar:
+    @given(rows=st.lists(st.tuples(pair_strings, pair_strings), max_size=16))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical(self, rows):
+        _assert_pairs_identical([a for a, _ in rows], [b for _, b in rows])
+
+    @given(rows=st.lists(pair_strings, min_size=1, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_equal_strings_score_one(self, rows):
+        _assert_pairs_identical(rows, rows)
+        assert jaro_winkler_pairs(*code_matrix(rows), *code_matrix(rows)).tolist() == [
+            1.0
+        ] * len(rows)
+
+    def test_edge_cases(self):
+        _assert_pairs_identical(
+            ["", "", "a", "a\x00", "\x00", "a\x00b", "😀", "martha", "x" * 40],
+            ["", "a", "", "a", "\x00\x00", "ab", "😀😀", "marhta", "x" * 39 + "y"],
+        )
+
+    def test_chunks_of_mixed_widths(self):
+        """More rows than one kernel chunk, of widely mixed lengths."""
+        rng = np.random.default_rng(7)
+        alphabet = list("abcdeé😀\x00")
+
+        def word():
+            return "".join(rng.choice(alphabet, size=rng.integers(0, 30)))
+
+        left = [word() for _ in range(5000)]
+        right = [word() if k % 3 else left[k] for k in range(5000)]
+        _assert_pairs_identical(left, right)
+
+    def test_broadcast_wrapper_is_the_same_kernel(self):
+        candidates = ["marhta", "martha", "", "m\x00", "😀"]
+        codes, lengths = code_matrix(candidates)
+        for value in ["martha", "", "m", "😀"]:
+            assert jaro_winkler_many(value, codes, lengths).tolist() == [
+                jaro_winkler_similarity(value, c) for c in candidates
+            ]
+
+
+class TestBatchNameSimilarity:
+    @given(
+        values=st.lists(pair_strings, min_size=1, max_size=10),
+        picks=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=20),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical(self, values, picks):
+        x = np.array([a % len(values) for a, _ in picks], dtype=np.int64)
+        y = np.array([b % len(values) for _, b in picks], dtype=np.int64)
+        for batch, scalar in (
+            (name_similarity_pairs, name_similarity),
+            (jaro_winkler_similarity_pairs, jaro_winkler_similarity),
+        ):
+            got = batch(values, x, y)
+            expected = np.asarray(
+                [scalar(values[a], values[b]) for a, b in zip(x.tolist(), y.tolist())],
+                dtype=np.float64,
+            )
+            assert got.tobytes() == expected.tobytes()
+
+    def test_canonical_boost(self):
+        values = ["effie", "euphemia", "mary"]
+        x, y = np.array([0, 1, 0, 2]), np.array([1, 0, 0, 0])
+        got = name_similarity_pairs(values, x, y).tolist()
+        assert got == [
+            name_similarity("effie", "euphemia"),
+            name_similarity("euphemia", "effie"),
+            1.0,
+            name_similarity("mary", "effie"),
+        ]
+        # The boost applies: the canonical forms agree, the raw ones do not.
+        assert got[0] == 0.95 > jaro_winkler_similarity("effie", "euphemia")
+
+
+class TestCompareFaultSite:
+    """The graph build fires ``similarity.compare`` once per distinct
+    value pair, just before that pair is scored one at a time: with the
+    batch comparators the fires come first, in the same order, so an
+    ``after``/``times`` window covers the same pairs as the scalar loop."""
+
+    class _LoggingRegistry(ComparatorRegistry):
+        """The default comparators, logging each attribute the build
+        scores and each pair it compares one at a time; ``scalar`` hides
+        the batch forms, as the build was before it had them."""
+
+        def __init__(self, log: list, scalar: bool) -> None:
+            super().__init__()
+            self._comparators = dict(default_registry()._comparators)
+            self.log, self.scalar = log, scalar
+
+        def batch_comparator(self, attribute):
+            self.log.append(("attribute", attribute))
+            return None if self.scalar else super().batch_comparator(attribute)
+
+        def compare(self, attribute, a, b):
+            self.log.append(("compare", attribute, a, b))
+            return super().compare(attribute, a, b)
+
+    def _build(self, dataset, pairs, monkeypatch, scalar, spec=None):
+        log: list = []
+
+        def logged_fire(site):
+            log.append(("fire",))
+            fire(site)
+
+        monkeypatch.setattr(dependency_graph, "fire", logged_fire)
+        registry = self._LoggingRegistry(log, scalar)
+        if spec is None:
+            graph, seeds = build_graph_and_seeds(dataset, pairs, SnapsConfig(), registry)
+            return log, seeds
+        with injected(spec, sleep=lambda _: log.append(("sleep",))):
+            try:
+                build_graph_and_seeds(dataset, pairs, SnapsConfig(), registry)
+            except InjectedFault:
+                log.append(("raised",))
+        return log, None
+
+    @staticmethod
+    def _faulted(log: list) -> list[tuple[str, int]]:
+        """(attribute, ordinal of the fire within it) of every fire that
+        slept or raised."""
+        hits, attribute, ordinal = [], None, -1
+        for previous, entry in zip([None] + log, log):
+            if entry[0] == "attribute":
+                attribute, ordinal = entry[1], -1
+            elif entry[0] == "fire":
+                ordinal += 1
+            elif entry[0] in ("sleep", "raised"):
+                assert previous == ("fire",)
+                hits.append((attribute, ordinal))
+        return hits
+
+    def test_same_pairs_as_the_scalar_loop(self, tiny_dataset, monkeypatch):
+        pairs = SnapsResolver(SnapsConfig()).block(tiny_dataset)
+        scalar_log, scalar_seeds = self._build(tiny_dataset, pairs, monkeypatch, True)
+        batch_log, batch_seeds = self._build(tiny_dataset, pairs, monkeypatch, False)
+        assert batch_seeds.sim_table == scalar_seeds.sim_table
+        # The scalar loop's pair behind each fire, per attribute.
+        compared: dict[str, list] = {}
+        for entry in scalar_log:
+            if entry[0] == "compare":
+                compared.setdefault(entry[1], []).append(entry[2:])
+        fires = [e for e in batch_log if e[0] != "compare"]
+        assert fires == [e for e in scalar_log if e[0] != "compare"]
+        names = compared["first_name"]
+        offset = len(names) + len(compared["surname"])
+        for spec in (
+            "similarity.compare:latency:after=3:times=4",
+            f"similarity.compare:latency:after={len(names) - 2}:times=5",
+            f"similarity.compare:error:after={offset - 1}:times=2",
+        ):
+            faulted = []
+            for scalar in (True, False):
+                log, _ = self._build(tiny_dataset, pairs, monkeypatch, scalar, spec)
+                faulted.append(
+                    [(a, compared[a][k]) for a, k in self._faulted(log)]
+                )
+            assert faulted[0] == faulted[1]
+            assert faulted[0]

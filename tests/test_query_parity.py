@@ -22,10 +22,10 @@ from repro.core import SnapsConfig
 from repro.data.roles import Role
 from repro.pedigree.graph import PedigreeEntity, PedigreeGraph
 from repro.query import Query, QueryEngine, RankedMatch
-from repro.query import engine as engine_module
-from repro.query.engine import _builtin_sum
 from repro.serve.serialization import search_payload
 from repro.store import SnapshotStore
+from repro.utils import sums as sums_module
+from repro.utils.sums import builtin_sum
 
 
 def reference_search(engine: QueryEngine, query: Query, top_m: int) -> list[RankedMatch]:
@@ -268,19 +268,19 @@ class TestScoreSum:
     @settings(max_examples=200, deadline=None)
     def test_matches_builtin_sum(self, rows):
         columns = [np.array(column) for column in zip(*rows)]
-        assert _builtin_sum(columns).tolist() == [sum(row) for row in rows]
+        assert builtin_sum(columns).tolist() == [sum(row) for row in rows]
 
     @given(terms=st.lists(_UNIT, min_size=1, max_size=5))
     @settings(max_examples=200, deadline=None)
     def test_compensated_branch(self, terms):
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(engine_module, "_COMPENSATED_SUM", True)
-            got = _builtin_sum([np.array([term]) for term in terms])
+            patch.setattr(sums_module, "_COMPENSATED_SUM", True)
+            got = builtin_sum([np.array([term]) for term in terms])
         assert got.tolist() == [_neumaier_sum(terms)]
 
     def test_weights_where_the_two_sums_differ(self, monkeypatch):
         terms = [np.array([w]) for w in (0.3, 0.3, 0.1, 0.2)]
-        monkeypatch.setattr(engine_module, "_COMPENSATED_SUM", False)
-        assert _builtin_sum(terms).tolist() == [0.8999999999999999]
-        monkeypatch.setattr(engine_module, "_COMPENSATED_SUM", True)
-        assert _builtin_sum(terms).tolist() == [0.9]
+        monkeypatch.setattr(sums_module, "_COMPENSATED_SUM", False)
+        assert builtin_sum(terms).tolist() == [0.8999999999999999]
+        monkeypatch.setattr(sums_module, "_COMPENSATED_SUM", True)
+        assert builtin_sum(terms).tolist() == [0.9]
