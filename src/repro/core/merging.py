@@ -66,17 +66,10 @@ def iterative_merge(
     flat: list[RelationalNode] = []
     sizes: list[int] = []
     for group in graph.groups.values():
-        keys = group.node_keys
-        if len(keys) == 1:
-            node = nodes_of[keys[0]]
-            if node.merged:
-                continue
-            alive.append(node)
-            flat.append(node)
-            sizes.append(1)
-            continue
         nodes = [
-            node for node in map(nodes_of.__getitem__, keys) if not node.merged
+            node
+            for node in map(nodes_of.__getitem__, group.node_keys)
+            if not node.merged
         ]
         if nodes:
             alive.append(nodes if len(nodes) > 1 else nodes[0])
