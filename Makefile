@@ -1,6 +1,6 @@
 # Developer entry points for the SNAPS reproduction.
 
-.PHONY: install test verify serve-smoke prefork-smoke stream-smoke obs-smoke shard-smoke supervise-smoke chaos bench bench-full examples clean
+.PHONY: install test verify serve-smoke prefork-smoke stream-smoke obs-smoke supervise-smoke chaos bench bench-full examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -34,7 +34,6 @@ verify:
 	$(MAKE) serve-smoke
 	$(MAKE) prefork-smoke
 	$(MAKE) stream-smoke
-	$(MAKE) shard-smoke
 	$(MAKE) supervise-smoke
 
 # Fault-tolerance gate: the fault substrate's unit tests plus the chaos
@@ -93,48 +92,6 @@ obs-smoke:
 	PYTHONPATH=src python -m repro bench-history --history $(OBS_TMP)/history.jsonl; \
 	REPRO_BENCH_SCALE=0.05 PYTHONPATH=src python benchmarks/bench_parallel_scaling.py --quick; \
 	PYTHONPATH=src python -m repro bench-history --history $(OBS_TMP)/history.jsonl --check
-
-# Sharded-resolution gate: a 2-shard resolve must land on the same
-# content-addressed snapshot as serial with every payload byte-identical
-# (cmp), carry an intact shards/ sidecar, and a single-certificate delta
-# ingest against a 4-shard snapshot must re-resolve exactly one dirty
-# shard.  Artefacts (both stores incl. merge manifests) stay in
-# $(SHARD_TMP) for CI upload; the directory is recreated per run.
-SHARD_TMP = /tmp/snaps-shard-smoke
-
-shard-smoke:
-	rm -rf $(SHARD_TMP) && mkdir -p $(SHARD_TMP); \
-	set -e; \
-	PYTHONPATH=src python -m repro simulate --dataset tiny --out $(SHARD_TMP)/data; \
-	PYTHONPATH=src python -m repro resolve --data $(SHARD_TMP)/data \
-		--workers 0 --out $(SHARD_TMP)/serial.json --snapshot-out $(SHARD_TMP)/store-serial; \
-	PYTHONPATH=src python -m repro resolve --data $(SHARD_TMP)/data \
-		--shards 2 --out $(SHARD_TMP)/sharded.json --snapshot-out $(SHARD_TMP)/store-sharded; \
-	cmp $(SHARD_TMP)/serial.json $(SHARD_TMP)/sharded.json; \
-	ID=$$(cat $(SHARD_TMP)/store-serial/HEAD); \
-	test "$$ID" = "$$(cat $(SHARD_TMP)/store-sharded/HEAD)"; \
-	for f in clusters.json graph.json keyword_index.npz simindex.npz \
-			dataset.records.csv dataset.certs.csv; do \
-		cmp $(SHARD_TMP)/store-serial/snapshots/$$ID/$$f \
-			$(SHARD_TMP)/store-sharded/snapshots/$$ID/$$f; \
-	done; \
-	test -f $(SHARD_TMP)/store-sharded/snapshots/$$ID/shards/merge-manifest.json; \
-	PYTHONPATH=src python -m repro snapshot verify --store $(SHARD_TMP)/store-sharded; \
-	PYTHONPATH=src python -m repro snapshot inspect --store $(SHARD_TMP)/store-sharded | grep -q "shards:"; \
-	PYTHONPATH=src python -c "from repro.data.loader import save_dataset_csv; \
-		from repro.data.records import Dataset; \
-		from repro.data.synthetic import make_tiny_dataset, split_stream; \
-		base, deltas = split_stream(make_tiny_dataset(seed=3), n_batches=3); \
-		save_dataset_csv(base, '$(SHARD_TMP)/base'); \
-		cert = next(iter(deltas[0].certificates.values())); \
-		small = Dataset('delta', [deltas[0].records[r] for r in cert.member_record_ids()], [cert]); \
-		save_dataset_csv(small, '$(SHARD_TMP)/delta')"; \
-	PYTHONPATH=src python -m repro resolve --data $(SHARD_TMP)/base \
-		--shards 4 --out $(SHARD_TMP)/base.json --snapshot-out $(SHARD_TMP)/store-ingest; \
-	PYTHONPATH=src python -m repro snapshot ingest --store $(SHARD_TMP)/store-ingest \
-		--data $(SHARD_TMP)/delta | tee $(SHARD_TMP)/ingest.out; \
-	grep -q "re-resolved 1/4 dirty shard" $(SHARD_TMP)/ingest.out; \
-	PYTHONPATH=src python -m repro snapshot verify --store $(SHARD_TMP)/store-ingest
 
 # Supervised-execution gate: a worker killed (or hung) mid-resolve must
 # recover to byte-identical output with the restart counted in the run

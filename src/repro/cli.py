@@ -19,7 +19,7 @@ Examples::
 
 Snapshots (``repro.store``) persist the complete offline output so the
 online commands warm-start without rebuilding anything, and new data
-batches fold in incrementally::
+batches fold in as child snapshots::
 
     python -m repro resolve  --data data/ios --snapshot-out data/store
     python -m repro serve    --snapshot data/store --port 8080
@@ -156,13 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: auto — in-process chunks on large datasets, serial "
         "on small ones; never a pool); the dependency graph is always "
         "one inline pass",
-    )
-    resolve.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="partition the resolve into N shards, each resolved in an "
-        "isolated process; output is byte-identical to the serial path, "
-        "and --snapshot-out snapshots gain a shard sidecar so later "
-        "ingests re-resolve only dirty shards",
     )
     resolve.add_argument("--no-propagation", action="store_true")
     resolve.add_argument("--no-ambiguity", action="store_true")
@@ -392,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_store_args(snap_verify)
 
     snap_ingest = snapshot_sub.add_parser(
-        "ingest", help="fold a delta dataset into a snapshot incrementally"
+        "ingest", help="resolve a snapshot's dataset plus a delta into a "
+        "child snapshot"
     )
     snap_ingest.add_argument(
         "--store", required=True, metavar="DIR", help="snapshot store root"
@@ -409,11 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="blocking-filter workers for the re-resolve step "
         "(0 = serial, 1 = chunked in process, N >= 2 = chunked over "
         "up to N processes, default: auto — in process, never a pool)",
-    )
-    snap_ingest.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="shard count for the child snapshot's sidecar (default: "
-        "inherit the parent snapshot's partition)",
     )
     add_validation_flags(snap_ingest)
     add_supervise_flags(snap_ingest)
@@ -662,9 +651,6 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.shards is not None and args.shards < 1:
-        print("--shards must be >= 1", file=sys.stderr)
-        return 2
     if not args.data and not args.resume:
         print("resolve needs --data (or --resume DIR)", file=sys.stderr)
         return 2
@@ -711,43 +697,14 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
 
     parallel = _parallel_config(args)
     profiler = _profiler(args)
-    sharded = None
     try:
-        if args.shards is not None:
-            from repro.shard import resolve_sharded
-
-            # Shard count is an execution detail: it is not part of the
-            # config fingerprint, so a checkpoint taken serially resumes
-            # sharded (and vice versa), and the output stays byte-identical.
-            sharded = resolve_sharded(
-                dataset,
-                config,
-                n_shards=args.shards,
-                trace=trace,
-                metrics=metrics,
-                checkpoint=checkpoint,
-                parallel=parallel,
-            )
-            result = sharded.result
-            print(
-                f"sharded across {sharded.plan.n_shards} shard(s), plan "
-                f"{sharded.plan.fingerprint}: "
-                f"{sharded.n_boundary_pairs} boundary pair(s)"
-            )
-            for stat in sharded.shard_stats:
-                print(
-                    f"  shard {stat['shard']}: {stat['records']} records "
-                    f"(+{stat['passengers']} passengers), {stat['pairs']} pairs "
-                    f"-> {stat['clusters']} clusters in {stat['elapsed']:.2f}s"
-                )
-        else:
-            result = SnapsResolver(config).resolve(
-                dataset,
-                trace=trace,
-                metrics=metrics,
-                checkpoint=checkpoint,
-                parallel=parallel,
-            )
+        result = SnapsResolver(config).resolve(
+            dataset,
+            trace=trace,
+            metrics=metrics,
+            checkpoint=checkpoint,
+            parallel=parallel,
+        )
     except GracefulExit as stop:
         print(
             f"{stop}; resume with: repro resolve --resume "
@@ -780,14 +737,6 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
     if args.snapshot_out:
         from repro.store import SnapshotStore
 
-        sidecar_writer = None
-        if sharded is not None:
-            from repro.store.shards import write_shard_sidecar
-
-            plan = sharded.plan
-            sidecar_writer = lambda directory: write_shard_sidecar(  # noqa: E731
-                directory, plan, result.entities
-            )
         try:
             manifest = SnapshotStore(args.snapshot_out).save(
                 result,
@@ -795,7 +744,6 @@ def _cmd_resolve(args: argparse.Namespace) -> int:
                 config=config,
                 trace=trace,
                 metrics=metrics,
-                sidecar_writer=sidecar_writer,
             )
         except ResourceFault as error:
             print(f"resource error: {error}", file=sys.stderr)
@@ -1194,8 +1142,6 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
                 )
             return 0
         if args.snapshot_command == "inspect":
-            from repro.store.shards import has_shard_sidecar, load_merge_manifest
-
             manifest = store.manifest(args.id)
             depth = len(store.log(manifest.snapshot_id)) - 1
             print(f"snapshot {manifest.snapshot_id}")
@@ -1221,20 +1167,6 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
                     f"{blob['bytes']:>9} B  sha256 {blob['sha256'][:16]}…"
                 )
             print(f"    {'(total)':<16} {'':<22} {total_bytes:>9} B")
-            directory = store.path_of(manifest.snapshot_id)
-            if has_shard_sidecar(directory):
-                merge = load_merge_manifest(directory)
-                print(
-                    f"  shards:             {merge['n_shards']} "
-                    f"(partition {merge['partition_fingerprint']}, "
-                    f"{merge['covered_records']} covered records)"
-                )
-                for entry in sorted(merge["shards"], key=lambda e: e["shard"]):
-                    print(
-                        f"    shard {entry['shard']:<10} {entry['path']:<22} "
-                        f"{entry['bytes']:>9} B  {entry['records']} records, "
-                        f"{entry['clusters']} clusters"
-                    )
             return 0
         if args.snapshot_command == "verify":
             snapshot_id = args.id or store.latest()
@@ -1273,7 +1205,6 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
                 trace=trace,
                 metrics=metrics,
                 workers=args.workers,
-                shards=args.shards,
                 supervise=_supervise_config(args),
             )
         except TaskQuarantinedError as error:
@@ -1285,16 +1216,9 @@ def _cmd_snapshot(args: argparse.Namespace) -> int:
         stats = result.stats
         print(
             f"ingested {stats['delta_records']} delta records: re-resolved "
-            f"{stats['dirty_pairs']}/{stats['candidate_pairs']} pairs "
-            f"({stats['dirty_records']}/{stats['combined_records']} records "
-            f"dirty), replayed {stats['replayed_clusters']} clean clusters"
+            f"all {stats['candidate_pairs']} pairs over "
+            f"{stats['combined_records']} records"
         )
-        if "shards_total" in stats:
-            print(
-                f"  shards: re-resolved {stats['shards_reresolved']}"
-                f"/{stats['shards_total']} dirty shard(s); the rest "
-                f"replayed untouched"
-            )
         print(
             f"snapshot {result.manifest.snapshot_id} written "
             f"(parent {result.manifest.parent})"

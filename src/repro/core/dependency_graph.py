@@ -243,8 +243,8 @@ def build_graph_and_seeds(
     expressions, bit-identical to the scalar scorer and checker.
 
     ``frequencies`` is the name-frequency index ``s_d`` is seeded from
-    (a shard resolves against the global one); it defaults to one built
-    from ``dataset``.  Cyclic GC is paused while the objects are created:
+    (the resolver passes the one its scorer uses); it defaults to one
+    built from ``dataset``.  Cyclic GC is paused while the objects are created:
     the build makes no reference cycles, so collections would only
     re-scan the growing graph.
     """

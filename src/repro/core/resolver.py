@@ -164,8 +164,8 @@ class SnapsResolver:
         """Run the configured blocking stack alone; return candidate pairs.
 
         The same pairs :meth:`resolve` would generate internally — exposed
-        so callers (incremental ingest, diagnostics) can inspect or
-        restrict them before resolution.  ``parallel`` enables the
+        so callers can count or time blocking on its own and hand the
+        pairs back through ``resolve(pairs=...)``.  ``parallel`` enables the
         vectorised-signature + chunked-filter path (same pairs, same
         order, same metric totals as serial).
         """
@@ -213,10 +213,8 @@ class SnapsResolver:
         trace: Trace | None = None,
         metrics: MetricsRegistry | None = None,
         pairs: list | None = None,
-        store: EntityStore | None = None,
         checkpoint=None,
         parallel: "ParallelConfig | None" = None,
-        frequency_index: NameFrequencyIndex | None = None,
     ) -> LinkageResult:
         """Resolve ``dataset`` and return the linkage result.
 
@@ -225,12 +223,9 @@ class SnapsResolver:
         ``trace``/``metrics`` plug the run into the telemetry layer; when
         omitted the pipeline runs uninstrumented at full speed.
 
-        ``pairs``/``store`` support incremental ingest (``repro.store``):
-        ``pairs`` substitutes a precomputed candidate-pair list for the
-        blocking phase, and ``store`` seeds resolution with an existing
-        clustering (e.g. clusters replayed from a snapshot) instead of
-        all-singletons.  Merging then only happens along the given pairs,
-        leaving the seeded clusters intact unless refinement touches them.
+        ``pairs`` substitutes the candidate pairs a caller already got
+        from :meth:`block` on the same dataset for the blocking phase
+        (the output is the same as letting ``resolve`` block).
 
         ``checkpoint`` accepts a
         :class:`~repro.core.checkpoint.ResolveCheckpointer`: each phase
@@ -248,10 +243,6 @@ class SnapsResolver:
         an execution detail, not part of the run's configuration
         fingerprint, so checkpointed runs may freely resume under a
         different worker count.
-
-        ``frequency_index`` is the name-frequency index Eq. (2) scores
-        against; it is built from ``dataset`` when omitted, before the
-        graph phase, which seeds ``s_d`` from it.
         """
         config = self.config
         timings = Stopwatch()
@@ -291,10 +282,7 @@ class SnapsResolver:
             elif checkpoint is not None and "blocking" not in completed:
                 checkpoint.save_pairs(pairs)
                 checkpoint.check_stop("blocking")
-            # Shard workers pass the *global* dataset's index so Eq. (2)
-            # scores against full-population frequencies, not the shard's.
-            if frequency_index is None:
-                frequency_index = NameFrequencyIndex(dataset)
+            frequency_index = NameFrequencyIndex(dataset)
             with trace.span("graph"), timings.phase("graph_generation"):
                 graph, seeds = build_graph_and_seeds(
                     dataset, pairs, config, self.registry, frequency_index
@@ -316,17 +304,15 @@ class SnapsResolver:
             restore_from = next(
                 (p for p in reversed(completed) if p != "blocking"), None
             )
-            if store is None:
-                if restore_from is not None:
-                    store, run_stats = checkpoint.load_state(restore_from, dataset)
-                    logger.info(
-                        "entity state restored from %r checkpoint "
-                        "(%d entities)",
-                        restore_from,
-                        len(store),
-                    )
-                else:
-                    store = EntityStore(dataset)
+            if restore_from is not None:
+                store, run_stats = checkpoint.load_state(restore_from, dataset)
+                logger.info(
+                    "entity state restored from %r checkpoint (%d entities)",
+                    restore_from,
+                    len(store),
+                )
+            else:
+                store = EntityStore(dataset)
             scorer = PairScorer(dataset, config, self.registry, frequency_index)
             checker = ConstraintChecker(
                 temporal_slack_years=config.temporal_slack_years,

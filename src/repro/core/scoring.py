@@ -61,30 +61,6 @@ class NameFrequencyIndex:
                 self._surname[surname] = self._surname.get(surname, 0) + 1
         self.total_records = len(dataset)
 
-    def counts(self) -> dict:
-        """JSON-serializable dump of the frequency tables.
-
-        Shard workers score against the *global* dataset's frequencies
-        (Eq. 2 is an inverse-document-frequency over all records), so the
-        parent serializes its index once and ships it to every shard.
-        """
-        return {
-            "combo": [[first, surname, n] for (first, surname), n in self._combo.items()],
-            "first": dict(self._first),
-            "surname": dict(self._surname),
-            "total_records": self.total_records,
-        }
-
-    @classmethod
-    def from_counts(cls, counts: dict) -> "NameFrequencyIndex":
-        """Rebuild an index from :meth:`counts` without touching a dataset."""
-        index = cls.__new__(cls)
-        index._combo = {(first, surname): n for first, surname, n in counts["combo"]}
-        index._first = dict(counts["first"])
-        index._surname = dict(counts["surname"])
-        index.total_records = counts["total_records"]
-        return index
-
     def frequency(self, record: Record) -> int:
         """Occurrences of the record's name combination (at least 1)."""
         first = (record.get("first_name") or "").lower()

@@ -7,8 +7,8 @@ latencies.  The registry is a plain name → instrument mapping with
 get-or-create semantics, so instrumented code never has to declare its
 instruments up front.
 
-Counters take a lock per increment because the resolver's future sharded
-mode (and tests) drive them from ``concurrent.futures`` workers; gauges
+Counters take a lock per increment because the threaded serving tier
+(and tests) drive one registry from several threads at once; gauges
 and histograms share the same lock discipline.  A :class:`NullMetrics`
 singleton (``NULL_METRICS``) implements the same surface as no-ops so
 hot paths can be written unconditionally against an always-present

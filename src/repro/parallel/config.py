@@ -49,7 +49,7 @@ class ParallelConfig:
       to the in-process pipeline, under the same supervision contract.
       ``oversubscribe=True`` removes that clamp (tests and the
       ``SNAPS_OVERSUBSCRIBE=1`` smoke runs use it to exercise the real
-      pool everywhere); it applies to the shard pool too.
+      pool everywhere).
 
     Chunk boundaries depend on the *requested* worker count, never on
     the machine, and chunk results merge in submission order — output is

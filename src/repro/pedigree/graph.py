@@ -147,11 +147,10 @@ def build_pedigree_graph(dataset: Dataset, store: EntityStore) -> PedigreeGraph:
 
     Pedigree entity ids are *canonical*: entities are ranked by their
     smallest member record id and numbered 1..K.  ``EntityStore`` ids
-    depend on merge order (and therefore on worker/shard/ingest
-    schedules); re-ranking here makes the pedigree graph — and every
-    artefact serialized from it — a pure function of the dataset and the
-    final clustering, which is what lets sharded and incremental resolves
-    stay byte-identical to the serial path.
+    depend on merge order; re-ranking here makes the pedigree graph —
+    and every artefact serialized from it — a pure function of the
+    dataset and the final clustering, so runs that reach the same
+    clustering by different merge orders write the same bytes.
     """
     graph = PedigreeGraph()
     # Pass 1: nodes — one per entity, carrying merged QID values.

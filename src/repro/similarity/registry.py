@@ -169,10 +169,7 @@ def registry_for_config(config) -> ComparatorRegistry:
 
     The default registry, with the geocode-aware address comparator
     swapped in when ``config.use_geocoded_addresses`` is set.  The
-    resolver builds its default registry through this helper, and shard
-    workers rebuild theirs from the shipped config the same way
-    (comparator closures are not picklable, hence reconstruction rather
-    than shipping).
+    resolver builds its default registry through this helper.
     """
     registry = default_registry()
     if getattr(config, "use_geocoded_addresses", False):

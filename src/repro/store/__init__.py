@@ -13,9 +13,9 @@ atomically-written snapshot directory.
 * ``repro query/pedigree/serve --snapshot DIR`` warm-start from one,
   skipping ER and index construction entirely;
 * :class:`~repro.store.incremental.IncrementalResolver` ingests a delta
-  batch of certificates against a snapshot, re-resolving only the
-  records the new evidence can touch and emitting a child snapshot whose
-  manifest points at its parent — a lineage inspectable with
+  batch of certificates against a snapshot, re-resolving base + delta
+  and emitting a child snapshot whose manifest points at its parent — a
+  lineage inspectable with
   ``repro snapshot log / inspect / verify``.
 
 Integrity is non-negotiable: every payload carries a SHA-256 in the

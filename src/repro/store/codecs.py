@@ -252,7 +252,7 @@ def load_sim_indexes(
 
 
 # ----------------------------------------------------------------------
-# Entity clusters (for incremental ingest)
+# Entity clusters
 # ----------------------------------------------------------------------
 
 

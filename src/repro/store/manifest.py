@@ -137,10 +137,10 @@ class Manifest:
     counts: dict             # entity/cluster/index cardinalities
     artifacts: dict[str, dict] = field(default_factory=dict)
     # Raw memmap-friendly artefact variants (raw/*.npy).  Checksummed
-    # and verified like ``artifacts``, but — exactly like the shard
-    # sidecar — EXCLUDED from the content-addressed snapshot id: the
-    # raw tier is derived byte-deterministically from the canonical
-    # .npz payloads, so its presence must not change the id.
+    # and verified like ``artifacts``, but EXCLUDED from the
+    # content-addressed snapshot id: the raw tier is derived
+    # byte-deterministically from the canonical .npz payloads, so its
+    # presence must not change the id.
     raw_artifacts: dict[str, dict] = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
 

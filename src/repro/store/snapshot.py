@@ -254,9 +254,6 @@ class SnapshotStore:
                 f"content address mismatch: manifest id {manifest.snapshot_id}, "
                 f"recomputed {expected_id}"
             )
-        from repro.store.shards import verify_shard_sidecar
-
-        problems.extend(verify_shard_sidecar(directory))
         return problems
 
     def _resolve_id(self, snapshot_id: str | None) -> str:
@@ -287,7 +284,6 @@ class SnapshotStore:
         config=None,
         trace: Trace | None = None,
         metrics: MetricsRegistry | None = None,
-        sidecar_writer=None,
     ) -> Manifest:
         """Persist one resolver run as a new snapshot; returns its manifest.
 
@@ -296,13 +292,6 @@ class SnapshotStore:
         is derived here from ``result``.  ``parent`` links the snapshot
         into a lineage (incremental ingest sets it).  ``config`` defaults
         to the paper configuration when the result does not carry one.
-
-        ``sidecar_writer`` is called with the snapshot's assembly
-        directory after the payloads are written, so auxiliary data (the
-        shard sidecar — see :mod:`repro.store.shards`) commits atomically
-        with the snapshot.  Sidecar files are *not* part of the content
-        address: artefact bytes are identical across shard counts, and so
-        must be the snapshot id.
         """
         from repro.core.config import SnapsConfig
 
@@ -375,9 +364,6 @@ class SnapshotStore:
                         }
                         for path in raw_paths
                     }
-                if sidecar_writer is not None:
-                    with trace.span("sidecar"):
-                        sidecar_writer(tmp)
                 with trace.span("manifest"):
                     artifacts = {
                         name: {
@@ -426,18 +412,9 @@ class SnapshotStore:
                     final = self.path_of(snapshot_id)
                     if final.exists():
                         # Content-addressed: identical content already
-                        # stored; keep the existing directory.  A fresh
-                        # sidecar still moves in if the stored snapshot
-                        # lacks one (a serial save followed by a sharded
-                        # one lands on the same id).
-                        from repro.store.shards import SHARDS_DIRNAME
-
-                        tmp_sidecar = tmp / SHARDS_DIRNAME
-                        final_sidecar = final / SHARDS_DIRNAME
-                        if tmp_sidecar.is_dir() and not final_sidecar.exists():
-                            os.replace(tmp_sidecar, final_sidecar)
-                        # Same for the raw tier: a snapshot saved before
-                        # the tier existed gains it on re-save (the raw
+                        # stored; keep the existing directory.  A snapshot
+                        # saved before the raw tier existed gains it on
+                        # re-save (the raw
                         # bytes are derived from identical content, and
                         # the tier is outside the content address, so
                         # the id is unchanged).  The stored manifest is

@@ -1,8 +1,8 @@
 """Supervised task execution shared by every offline fan-out.
 
-Chunk pools (``repro.parallel``), shard fan-out (``repro.shard``), and
-streaming ingest (``repro.stream``) run pure tasks through one
-:class:`TaskRunner`; this package gives them one substrate for
+The blocking-filter chunk pool (``repro.parallel``), which streaming
+ingest (``repro.stream``) also runs through, executes pure tasks with
+one :class:`TaskRunner`; this package gives it one substrate for
 liveness (heartbeats + per-task deadlines), crash recovery (pool
 rebuild + resubmit of incomplete tasks, byte-identical output), and
 poison-task quarantine with durable JSONL evidence.  In-process

@@ -14,7 +14,7 @@ kill would hit the supervisor itself); retries and quarantine still
 apply.
 
 **Bounded deterministic re-execution.**  Tasks are pure functions of
-their chunk/shard inputs, so re-running one is always safe.  When the
+their chunk inputs, so re-running one is always safe.  When the
 pool breaks (``BrokenProcessPool``/``EOFError``) the executor charges an
 attempt to the *suspects* — the tasks whose heartbeats were still
 ``running`` — rebuilds the pool, and resubmits only the incomplete
@@ -27,7 +27,7 @@ quarantines it immediately (permanent/data) — no pool rebuild.
 **Quarantine.**  A task still failing after ``1 + max_task_retries``
 charged attempts is quarantined with a JSONL artifact
 (:mod:`repro.supervise.quarantine`); the run aborts with an actionable
-error naming the chunk/shard.
+error naming the chunk.
 
 **Deterministic chaos.**  Each attempt fires the injection site
 ``supervise.task.<label>.t<index>.a<attempt>``.  The attempt number in

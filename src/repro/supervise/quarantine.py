@@ -5,7 +5,7 @@ category) is *quarantined*: one JSON line is appended to
 ``<quarantine_dir>/tasks.jsonl`` holding everything needed to reproduce
 the failure offline —
 
-- the task fingerprint (label, task name such as ``chunk 3``/``shard 1``,
+- the task fingerprint (label, task name such as ``chunk 3``,
   index, attempts consumed, and the task's own config fingerprint when
   it carries one);
 - a digest of the pickled task inputs, so the exact same chunk can be
@@ -13,7 +13,7 @@ the failure offline —
 - the error from every charged attempt, tracebacks included.
 
 The run then aborts with :class:`TaskQuarantinedError` (a ``data`` fault:
-the input is implicated, not the code) naming the shard/chunk and the
+the input is implicated, not the code) naming the chunk and the
 artifact path.
 """
 

@@ -1,10 +1,9 @@
 """Submission-ordered supervised task execution, in-process or pooled.
 
-:class:`TaskRunner` is the one runner behind every offline fan-out: the
-chunk pool of :mod:`repro.parallel` (filter and score chunks over one
-shared payload) and the shard pool of :mod:`repro.shard` (one isolated
-shard per task).  Results come back **in submission order**, so pool
-scheduling never influences a merge.
+:class:`TaskRunner` is the runner behind the offline fan-out: the
+blocking-filter chunk pool of :mod:`repro.parallel` (filter chunks over
+one shared payload).  Results come back **in submission order**, so
+pool scheduling never influences a merge.
 
 Every task runs through :class:`~repro.supervise.SupervisedExecutor`,
 whatever the pool width, so failure semantics never depend on the CPU
@@ -52,8 +51,8 @@ def available_cpus() -> int:
 class TaskRunner:
     """Runs task dicts under supervision; results in submission order.
 
-    ``key`` names the task field that identifies a task (``"chunk"``,
-    ``"shard"``); it also names tasks in quarantine errors (``shard 1``).
+    ``key`` names the task field that identifies a task (``"chunk"``);
+    it also names tasks in quarantine errors (``chunk 1``).
     ``span`` is the per-task wait-span name, formatted with ``label``
     and ``index`` (the task's ``key`` value).  ``counter``/``seconds``
     are the metric names each completed task increments/observes.

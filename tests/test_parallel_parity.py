@@ -288,44 +288,6 @@ class TestGraphBuildOracle:
         assert gc.isenabled()
 
 
-class TestFrequencyIndexSeeds:
-    def test_sub_dataset_seeds_score_against_the_given_index(
-        self, tiny, monkeypatch
-    ):
-        """A shard resolves a slice against the global index: the seeded
-        s_d must come from that index, not one rebuilt from the slice."""
-        import repro.core.resolver as resolver_module
-
-        cert_ids = sorted(tiny.certificates)[: len(tiny.certificates) // 2]
-        certificates = [tiny.certificates[c] for c in cert_ids]
-        members = {rid for c in certificates for rid in c.member_record_ids()}
-        sub = Dataset(
-            "slice", [r for r in tiny if r.record_id in members], certificates
-        )
-        config = SnapsConfig()
-        resolver = SnapsResolver(config)
-        pairs = resolver.block(sub)
-        built = []
-
-        def spy(*args):
-            built.append(build_graph_and_seeds(*args))
-            return built[-1]
-
-        monkeypatch.setattr(resolver_module, "build_graph_and_seeds", spy)
-        global_index = NameFrequencyIndex(tiny)
-        resolver.resolve(sub, pairs=pairs, frequency_index=global_index)
-        (graph, seeds), = built
-        assert seeds.node_scores
-        scorer = PairScorer(sub, config, resolver.registry, global_index)
-        local = PairScorer(sub, config, resolver.registry, NameFrequencyIndex(sub))
-        differs = 0
-        for key, (_, s_d) in seeds.node_scores.items():
-            node = graph.nodes[key]
-            assert s_d == scorer._disambiguation_similarity_uncached(node)
-            differs += s_d != local._disambiguation_similarity_uncached(node)
-        assert differs  # the slice's own index would have scored otherwise
-
-
 class TestBatchScoreParity:
     """The chunked blocking filter feeds the array build the same graph and
     seeds as the serial filter does, on a generated dataset."""

@@ -238,29 +238,71 @@ class TestConcatDatasets:
 
 
 class TestIncrementalIngest:
+    @staticmethod
+    def full_reresolve_manifest(root, base_ds, delta_ds, parent, config):
+        """A full re-resolve of base + delta saved with ``parent`` into a
+        separate store, so its payloads are written afresh."""
+        full = SnapsResolver(config).resolve(concat_datasets(base_ds, delta_ds))
+        return SnapshotStore(root).save(
+            full, parent=parent, config=config, similarity_threshold=0.5
+        )
+
     def test_ingest_matches_full_reresolve(self, tiny_dataset, tmp_path):
         base_ds, delta_ds = split_by_certificates(tiny_dataset, 10)
         config = SnapsConfig()
-        full = SnapsResolver(config).resolve(tiny_dataset)
-
         store = SnapshotStore(tmp_path / "store")
-        base = SnapsResolver(config).resolve(base_ds)
-        base_manifest = store.save(base, config=config)
+        base_manifest = store.save(
+            SnapsResolver(config).resolve(base_ds), config=config
+        )
 
         outcome = IncrementalResolver(store).ingest(delta_ds)
-        assert cluster_sets(outcome.linkage.entities) == cluster_sets(
-            full.entities
+        expected = self.full_reresolve_manifest(
+            tmp_path / "full", base_ds, delta_ds, base_manifest.snapshot_id, config
         )
+        # Byte-identical child: same content address, same checksum for
+        # every artefact (clusters.json's graph_summary included).
+        assert outcome.manifest.snapshot_id == expected.snapshot_id
+        assert {
+            name: blob["sha256"] for name, blob in outcome.manifest.artifacts.items()
+        } == {name: blob["sha256"] for name, blob in expected.artifacts.items()}
+        child = store.load(artifacts=("clusters",))
+        assert child.graph_summary == {
+            "n_atomic": outcome.linkage.n_atomic,
+            "n_relational": outcome.linkage.n_relational,
+        }
         # lineage: child points at base, log walks back to the root
         assert outcome.manifest.parent == base_manifest.snapshot_id
-        chain = store.log()
-        assert [m.snapshot_id for m in chain] == [
+        assert store.lineage_ids() == [
             outcome.manifest.snapshot_id,
             base_manifest.snapshot_id,
         ]
-        # the ingest skipped at least some work
-        assert outcome.stats["dirty_pairs"] <= outcome.stats["candidate_pairs"]
-        assert outcome.stats["replayed_clusters"] > 0
+        # every record and every candidate pair is re-resolved
+        stats = outcome.stats
+        assert stats["combined_records"] == len(base_ds) + len(delta_ds)
+        assert stats["dirty_records"] == stats["combined_records"]
+        assert stats["dirty_pairs"] == stats["candidate_pairs"] > 0
+
+    def test_chain_matches_full_resolve(self, tiny_dataset, tmp_path):
+        base_ds, rest = split_by_certificates(tiny_dataset, 12)
+        first, second = split_by_certificates(rest, 6)
+        config = SnapsConfig()
+        store = SnapshotStore(tmp_path / "store")
+        root = store.save(SnapsResolver(config).resolve(base_ds), config=config)
+        one = IncrementalResolver(store).ingest(first, workers=0)
+        two = IncrementalResolver(store).ingest(second, workers=1)
+        expected = self.full_reresolve_manifest(
+            tmp_path / "full",
+            concat_datasets(base_ds, first),
+            second,
+            one.manifest.snapshot_id,
+            config,
+        )
+        assert two.manifest.snapshot_id == expected.snapshot_id
+        assert store.lineage_ids() == [
+            two.manifest.snapshot_id,
+            one.manifest.snapshot_id,
+            root.snapshot_id,
+        ]
 
     def test_ingested_snapshot_serves_identically(self, tiny_dataset, tmp_path):
         from repro.pedigree import build_pedigree_graph
@@ -299,3 +341,66 @@ class TestIncrementalIngest:
         store.save(SnapsResolver(config).resolve(base_ds), config=config)
         outcome = IncrementalResolver(store).ingest(delta_ds)
         assert outcome.manifest.snaps_config() == config
+
+
+class TestLegacyShardSidecar:
+    """Snapshots written by the retired sharded resolver carry a
+    ``shards/`` sidecar directory outside the manifest; they must still
+    load, verify, inspect and serve as an ingest parent."""
+
+    @pytest.fixture()
+    def legacy_store(self, tiny_dataset, tmp_path):
+        base_ds, delta_ds = split_by_certificates(tiny_dataset, 6)
+        store = SnapshotStore(tmp_path / "store")
+        manifest = store.save(SnapsResolver().resolve(base_ds), config=SnapsConfig())
+        shards = store.path_of(manifest.snapshot_id) / "shards"
+        shards.mkdir()
+        records = sorted(base_ds.records)
+        (shards / "shard-0000.json").write_text(
+            json.dumps(
+                {
+                    "format": "snaps-shard",
+                    "schema_version": 1,
+                    "shard": 0,
+                    "records": records,
+                    "clusters": [],
+                }
+            )
+        )
+        (shards / "merge-manifest.json").write_text(
+            json.dumps(
+                {
+                    "format": "snaps-shard-merge",
+                    "schema_version": 1,
+                    "n_shards": 1,
+                    "partition_fingerprint": "0" * 16,
+                    "covered_records": len(records),
+                    "shards": [{"shard": 0, "path": "shard-0000.json"}],
+                },
+                indent=2,
+            )
+        )
+        return store, manifest, delta_ds
+
+    def test_loads_and_verifies(self, legacy_store):
+        store, manifest, _ = legacy_store
+        loaded = store.load(manifest.snapshot_id)
+        assert loaded.graph is not None and loaded.keyword_index is not None
+        assert store.verify(manifest.snapshot_id) == []
+
+    def test_cli_log_inspect_verify(self, legacy_store, capsys):
+        from repro.cli import main
+
+        store, manifest, _ = legacy_store
+        for command in ("log", "inspect", "verify"):
+            assert main(["snapshot", command, "--store", str(store.root)]) == 0
+        out = capsys.readouterr().out
+        assert f"snapshot {manifest.snapshot_id}: OK" in out
+        assert "shards" not in out
+
+    def test_ingest_on_top(self, legacy_store):
+        store, manifest, delta_ds = legacy_store
+        outcome = IncrementalResolver(store).ingest(delta_ds)
+        assert outcome.manifest.parent == manifest.snapshot_id
+        assert store.verify() == []
+        assert not (store.path_of(outcome.manifest.snapshot_id) / "shards").exists()

@@ -39,7 +39,6 @@ from repro.faults import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import ParallelConfig
-from repro.shard import resolve_sharded
 from repro.supervise import (
     SupervisedExecutor,
     SuperviseConfig,
@@ -238,24 +237,24 @@ def serial_clusters(chaos_dataset):
 
 
 class TestResolutionCrashParity:
-    @pytest.mark.parametrize("n_shards", [2, 4])
-    def test_shard_crash_at_every_shard(
-        self, n_shards, chaos_dataset, serial_clusters
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_chunk_crash_at_every_chunk(
+        self, workers, chaos_dataset, serial_clusters
     ):
-        for shard in range(n_shards):
+        parallel = ParallelConfig(workers=workers, oversubscribe=True)
+        clean = MetricsRegistry()
+        SnapsResolver(SnapsConfig()).resolve(
+            chaos_dataset, metrics=clean, parallel=parallel
+        )
+        n_chunks = clean.counter_value("parallel.chunks")
+        assert n_chunks > workers  # several chunks per pool generation
+        for chunk in range(n_chunks):
             metrics = MetricsRegistry()
-            with injected(
-                f"supervise.task.shard.t{shard}.a0:worker_crash"
-            ):
-                sharded = resolve_sharded(
-                    chaos_dataset,
-                    SnapsConfig(),
-                    n_shards=n_shards,
-                    workers=n_shards,
-                    metrics=metrics,
-                    parallel=ParallelConfig(oversubscribe=True),
+            with injected(f"supervise.task.filter.t{chunk}.a0:worker_crash"):
+                result = SnapsResolver(SnapsConfig()).resolve(
+                    chaos_dataset, metrics=metrics, parallel=parallel
                 )
-            assert clusters_of(sharded.result) == serial_clusters
+            assert clusters_of(result) == serial_clusters
             restarts = metrics.counter_value("supervise.restarts")
             assert 1 <= restarts <= SuperviseConfig().attempt_budget
 
@@ -291,8 +290,8 @@ class TestResolutionCrashParity:
     def test_quarantine_independent_of_cpu_count(
         self, cpus, chaos_dataset, tmp_path, monkeypatch
     ):
-        # One CPU runs the shards in-process, two run them in a real
-        # pool; a fault that outlives the retry budget must end the
+        # One CPU runs the filter chunks in-process, two run them in a
+        # real pool; a fault that outlives the retry budget must end the
         # same way on both.
         import repro.supervise.runner as runner
 
@@ -300,18 +299,15 @@ class TestResolutionCrashParity:
         supervise = SuperviseConfig(
             max_task_retries=1, quarantine_dir=str(tmp_path)
         )
-        with injected("supervise.task.shard.t1.a*:error:times=none"):
+        with injected("supervise.task.filter.t1.a*:error:times=none"):
             with pytest.raises(TaskQuarantinedError) as excinfo:
-                resolve_sharded(
+                SnapsResolver(SnapsConfig()).resolve(
                     chaos_dataset,
-                    SnapsConfig(),
-                    n_shards=2,
-                    workers=2,
-                    parallel=ParallelConfig(supervise=supervise),
+                    parallel=ParallelConfig(workers=2, supervise=supervise),
                 )
         error = excinfo.value
         assert (error.label, error.task_name, error.attempts) == (
-            "shard", "shard 1", 2
+            "filter", "chunk 1", 2
         )
         assert (tmp_path / "tasks.jsonl").exists()
 
@@ -329,24 +325,22 @@ class TestResolutionCrashParity:
         assert clusters_of(result) == serial_clusters
         assert metrics.counter_value("supervise.hung_tasks") >= 1
 
-    def test_shard_poison_names_the_shard(self, chaos_dataset, tmp_path):
+    def test_chunk_poison_names_the_chunk(self, chaos_dataset, tmp_path):
         # A permanent in-worker failure charges exactly the raising
-        # shard (a crash would co-charge concurrently-running ones).
+        # chunk (a crash would co-charge concurrently-running ones).
         supervise = SuperviseConfig(
             max_task_retries=0, quarantine_dir=str(tmp_path)
         )
-        with injected("supervise.task.shard.t1.a*:error:category=permanent"):
+        with injected("supervise.task.filter.t1.a*:error:category=permanent"):
             with pytest.raises(TaskQuarantinedError) as excinfo:
-                resolve_sharded(
+                SnapsResolver(SnapsConfig()).resolve(
                     chaos_dataset,
-                    SnapsConfig(),
-                    n_shards=2,
-                    workers=2,
                     parallel=ParallelConfig(
-                        oversubscribe=True, supervise=supervise
+                        workers=2, oversubscribe=True, supervise=supervise
                     ),
                 )
-        assert "shard 1" in str(excinfo.value)
+        assert "chunk 1" in str(excinfo.value)
+        assert excinfo.value.attempts == 1
         assert (tmp_path / "tasks.jsonl").exists()
 
 
