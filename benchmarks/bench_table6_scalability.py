@@ -25,7 +25,8 @@ def _run_window(start, end, harness_metrics):
     harness_metrics.merge(metrics)
     times = result.timings.times
     n_nodes = result.n_relational
-    n_edges = sum(len(g.edges) for g in result.graph.groups.values())
+    graph = result.graph
+    n_edges = sum(len(graph.group_edges(g)) for g in range(graph.n_groups))
     linkage_time = times.get("bootstrap", 0.0) + times.get("merging", 0.0)
     return {
         "window": f"{start}-{end}",

@@ -23,7 +23,8 @@ def main() -> None:
         result = SnapsResolver(SnapsConfig()).resolve(dataset)
         times = result.timings.times
         nodes = result.n_relational
-        edges = sum(len(g.edges) for g in result.graph.groups.values())
+        graph = result.graph
+        edges = sum(len(graph.group_edges(g)) for g in range(graph.n_groups))
         linkage = times.get("bootstrap", 0.0) + times.get("merging", 0.0)
         print(
             f"{start}-{end:<7} {len(dataset):>8} {nodes:>8} {edges:>8} "

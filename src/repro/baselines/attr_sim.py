@@ -97,7 +97,7 @@ class AttrSimLinker:
             scorer = PairScorer(dataset, config, self.registry)
         components: UnionFind = UnionFind(r.record_id for r in dataset)
         with timings.phase("classification"):
-            for node in graph:
-                if scorer.atomic_similarity(node) >= self.threshold:
-                    components.union(node.rid_a, node.rid_b)
+            for k, (rid_a, rid_b) in enumerate(graph.keys()):
+                if scorer.atomic_similarity(graph, k) >= self.threshold:
+                    components.union(rid_a, rid_b)
         return AttrSimResult(dataset=dataset, components=components, timings=timings)

@@ -113,10 +113,10 @@ class RelClusterLinker:
             # attribute+ambiguity score alone clears the threshold.  This
             # gives the relational component non-empty neighbourhoods.
             scored: list[tuple[float, int, int]] = []
-            for node in graph:
-                base = scorer.combined_similarity(node)
+            for k, (rid_a, rid_b) in enumerate(graph.keys()):
+                base = scorer.combined_similarity(graph, k)
                 if base >= self.threshold - (1.0 - self.alpha):
-                    scored.append((base, node.rid_a, node.rid_b))
+                    scored.append((base, rid_a, rid_b))
             scored.sort(reverse=True)
             for base, rid_a, rid_b in scored:
                 if base < self.threshold:

@@ -10,6 +10,7 @@ graph.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -24,8 +25,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
 
 __all__ = [
     "CandidatePair",
+    "PairArray",
     "RecordTable",
     "generate_candidate_pairs",
+    "pair_array",
     "pair_masks",
     "roles_linkable",
 ]
@@ -47,6 +50,44 @@ class CandidatePair:
 
     def key(self) -> tuple[int, int]:
         return (self.rid_a, self.rid_b)
+
+
+class PairArray(Sequence):
+    """Candidate pairs held as one ``(n, 2)`` int64 array, in pair order.
+
+    What the blocking phase returns: a sequence whose items are
+    :class:`CandidatePair` values built on demand, while the graph build
+    and checkpoints read :attr:`array` directly.
+    """
+
+    __slots__ = ("array",)
+
+    def __init__(self, array) -> None:
+        self.array = np.asarray(array, dtype=np.int64).reshape(-1, 2)
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return PairArray(self.array[index])
+        rid_a, rid_b = self.array[index].tolist()
+        return CandidatePair(rid_a, rid_b)
+
+    def __iter__(self) -> Iterator[CandidatePair]:
+        return map(CandidatePair, self.array[:, 0].tolist(), self.array[:, 1].tolist())
+
+
+def pair_array(pairs) -> np.ndarray:
+    """``pairs`` as an ``(n, 2)`` int64 array: a :class:`PairArray`, an
+    array, or an iterable of :class:`CandidatePair` or ``(rid_a, rid_b)``."""
+    if isinstance(pairs, PairArray):
+        return pairs.array
+    if not isinstance(pairs, np.ndarray):
+        pairs = [
+            pair.key() if isinstance(pair, CandidatePair) else pair for pair in pairs
+        ]
+    return np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 def roles_linkable(role_a: Role, role_b: Role) -> bool:

@@ -23,7 +23,6 @@ from repro.core.constraints import ConstraintChecker
 from repro.core.dependency_graph import (
     AtomicNode,
     DependencyGraph,
-    RelationalNode,
     build_dependency_graph,
 )
 from repro.core.scoring import PairScorer, NameFrequencyIndex
@@ -38,7 +37,6 @@ __all__ = [
     "EntityStore",
     "ConstraintChecker",
     "AtomicNode",
-    "RelationalNode",
     "DependencyGraph",
     "build_dependency_graph",
     "PairScorer",

@@ -70,11 +70,11 @@ class ActiveLearningLoop:
         threshold = self.config.merge_threshold
         scored: list[tuple[float, tuple[int, int]]] = []
         answered = self.session.confirmed | self.session.rejected
-        for node in self.result.graph:
-            key = node.key()
+        graph = self.result.graph
+        for node, key in enumerate(graph.keys()):
             if key in answered:
                 continue
-            similarity = self._scorer.atomic_similarity(node)
+            similarity = self._scorer.atomic_similarity(graph, node)
             distance = abs(similarity - threshold)
             if distance < 0.15:
                 scored.append((distance, key))

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.core.config import SnapsConfig
 from repro.core.constraints import ConstraintChecker
 from repro.core.dependency_graph import DependencyGraph
@@ -44,38 +46,41 @@ def bootstrap_merge(
     (``similarity.bootstrap_group_mean``) and merge counters — the means
     are computed anyway, so observing them costs one histogram insert.
 
-    In a resolve both hot calls below read tables the graph build seeds
-    for every worker count: ``scorer.atomic_similarity`` reads the
-    node-score table and ``checker.records_compatible``/``can_merge``
-    read the pair-validity verdicts — same numbers, same decisions, no
-    recompute.
+    In a resolve both hot calls below read columns the graph build
+    seeds for every worker count: ``scorer.atomic_similarity`` reads the
+    node scores and ``checker.records_compatible``/``can_merge`` read the
+    singleton verdicts — same numbers, same decisions, no recompute.
     """
     if metrics is not None:
         mean_histogram = metrics.histogram(
             "similarity.bootstrap_group_mean", SIMILARITY_BUCKETS
         )
+    # Bootstrap marks only the nodes of the group it is processing, so
+    # every group's alive nodes are found once, up front.
+    alive, sizes = graph.alive_groups()
+    starts = np.cumsum(sizes) - sizes
+    multi = sizes > 1  # most groups hold one node: no alive pair to find
+    alive = memoryview(alive)
     merged_nodes = 0
-    for group in graph.groups.values():
-        if len(group.node_keys) < 2:
-            continue  # most groups hold one node: no alive pair to find
-        nodes = graph.alive_group_nodes(group)
-        if len(nodes) < 2:
-            continue
-        mean_atomic = sum(scorer.atomic_similarity(n) for n in nodes) / len(nodes)
+    for start, size in zip(memoryview(starts[multi]), memoryview(sizes[multi])):
+        nodes = alive[start : start + size].tolist()
+        mean_atomic = sum(scorer.atomic_similarity(graph, k) for k in nodes) / size
         if metrics is not None:
             mean_histogram.observe(mean_atomic)
         if mean_atomic < config.bootstrap_threshold:
             continue
         # Validate every node before touching the store: bootstrap merges
         # a group atomically or not at all.
-        records = [graph.records_of(node) for node in nodes]
-        if not all(checker.records_compatible(a, b) for a, b in records):
+        records = [graph.records_of(k) for k in nodes]
+        if not all(
+            checker.records_compatible(a, b, k) for k, (a, b) in zip(nodes, records)
+        ):
             continue
-        for node, (a, b) in zip(nodes, records):
-            if not checker.can_merge(store, a, b):
+        for k, (a, b) in zip(nodes, records):
+            if not checker.can_merge(store, a, b, k):
                 continue  # an earlier merge in this group may conflict
-            store.merge(node.rid_a, node.rid_b)
-            node.merged = True
+            store.merge(a.record_id, b.record_id)
+            graph.merged[k] = True
             merged_nodes += 1
     if metrics is not None:
         metrics.inc("bootstrap.nodes_merged", merged_nodes)

@@ -54,7 +54,8 @@ from repro.store.manifest import (
 from repro.utils.atomic import atomic_path, write_atomic
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
-    from repro.blocking.candidates import CandidatePair
+    import numpy as np
+
     from repro.core.entities import EntityStore
 
 __all__ = [
@@ -340,12 +341,14 @@ class ResolveCheckpointer:
             )
         return self._payload_path(phase)
 
-    def save_pairs(self, pairs: list["CandidatePair"]) -> None:
+    def save_pairs(self, pairs) -> None:
+        """Checkpoint the candidate pairs (anything ``pair_array`` takes)."""
         self._commit(
             "blocking", lambda tmp: codecs.save_candidate_pairs(pairs, tmp)
         )
 
-    def load_pairs(self) -> list["CandidatePair"]:
+    def load_pairs(self) -> "np.ndarray":
+        """The checkpointed pairs, as an ``(n, 2)`` int64 array."""
         return codecs.load_candidate_pairs(self._verified_payload("blocking"))
 
     def save_state(self, phase: str, store: "EntityStore", stats: dict) -> None:

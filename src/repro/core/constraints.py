@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.core.entities import Entity, EntityStore
 from repro.data.records import Record
 from repro.data.roles import CENSUS_ROLES, SINGLETON_ROLES
@@ -59,11 +61,12 @@ class ConstraintChecker:
         self.metrics = metrics
         self.rejected_record_level = 0
         self.rejected_entity_level = 0
-        # (rid_a, rid_b) -> rejection level, precomputed by the graph
-        # build for every worker count, under the both-entities-are-
-        # singletons assumption: 0 = mergeable, 1 = record-level reject,
-        # 2 = entity-level reject.
-        self._pair_validity: dict[tuple[int, int], int] | None = None
+        # Rejection level per node id, precomputed by the graph build
+        # for every worker count, under the both-entities-are-singletons
+        # assumption: 0 = mergeable, 1 = record-level reject, 2 =
+        # entity-level reject, -1 = not seeded.  A memoryview over an
+        # int8 column, or ``None`` when unseeded.
+        self._verdict: memoryview | None = None
         # Entity-level verdict memo, active alongside the seeded table.
         # (entity_id, size) identifies an entity state exactly — ids are
         # never reused, and every membership change either grows the
@@ -71,15 +74,17 @@ class ConstraintChecker:
         # once holds for every record pair meeting in the same states.
         self._entity_memo: dict[tuple[int, int, int, int], bool] = {}
 
-    def seed_pair_validity(self, table: dict[tuple[int, int], int]) -> None:
-        """Install precomputed singleton-state :meth:`can_merge` outcomes.
+    def seed_verdicts(self, verdict: np.ndarray) -> None:
+        """Install precomputed singleton-state :meth:`can_merge` outcomes,
+        one per node id of the graph they were built with.
 
         Level 1 (record-level) entries are valid forever — record checks
         never depend on merge state.  Levels 0 and 2 encode the verdict
         for *singleton* entities, so :meth:`can_merge` only consults them
-        while both records still sit in single-record entities.
+        while both records still sit in single-record entities.  The
+        seeded verdicts are read only by calls that name their node.
         """
-        self._pair_validity = table
+        self._verdict = memoryview(np.ascontiguousarray(verdict, dtype=np.int8))
 
     def publish_metrics(self) -> None:
         """Add the rejection counts to ``metrics`` and restart them.
@@ -101,13 +106,15 @@ class ConstraintChecker:
     # Record-level checks (always applied)
     # ------------------------------------------------------------------
 
-    def records_compatible(self, a: Record, b: Record) -> bool:
-        """Constraints between the two raw records only."""
-        if self._pair_validity is not None:
-            rid_a, rid_b = a.record_id, b.record_id
-            key = (rid_a, rid_b) if rid_a < rid_b else (rid_b, rid_a)
-            level = self._pair_validity.get(key)
-            if level is not None:
+    def records_compatible(self, a: Record, b: Record, node: int = -1) -> bool:
+        """Constraints between the two raw records only.
+
+        ``node`` is the id of the records' node in the seeded graph, if
+        any.
+        """
+        if node >= 0 and self._verdict is not None:
+            level = self._verdict[node]
+            if level >= 0:
                 return level != 1
         if a.cert_id == b.cert_id:
             return False
@@ -140,7 +147,7 @@ class ConstraintChecker:
         gender consensus, the intersection of birth-year intervals, and
         pairwise role linkability across the clusters.
         """
-        if self._pair_validity is not None:
+        if self._verdict is not None:
             key = (
                 ea.entity_id,
                 len(ea.record_ids),
@@ -183,24 +190,25 @@ class ConstraintChecker:
                     return False
         return True
 
-    def can_merge(self, store: EntityStore, a: Record, b: Record) -> bool:
+    def can_merge(
+        self, store: EntityStore, a: Record, b: Record, node: int = -1
+    ) -> bool:
         """Full validation of merging the entities of ``a`` and ``b``.
 
         With propagation enabled this is the PROP-C behaviour: the check
         runs between the records' *current entities*, so every earlier
         link contributes negative evidence.  Without propagation only the
-        two records themselves are checked (Table 3 ablation).
+        two records themselves are checked (Table 3 ablation).  ``node``
+        is the id of the records' node in the seeded graph, if any.
         """
         rid_a, rid_b = a.record_id, b.record_id
-        level = None
-        if self._pair_validity is not None:
-            level = self._pair_validity.get(
-                (rid_a, rid_b) if rid_a < rid_b else (rid_b, rid_a)
-            )
+        level = -1
+        if node >= 0 and self._verdict is not None:
+            level = self._verdict[node]
         if level == 1:
             self.rejected_record_level += 1
             return False
-        if level is None:
+        if level < 0:
             if not self.records_compatible(a, b):
                 self.rejected_record_level += 1
                 return False
@@ -208,7 +216,7 @@ class ConstraintChecker:
                 return True
         ea = store.entity_of(rid_a)
         eb = store.entity_of(rid_b)
-        if level is not None:
+        if level >= 0:
             # Levels 0 and 2 already say the two records are compatible;
             # for two singletons they are the whole verdict.
             if len(ea.record_ids) == 1 and len(eb.record_ids) == 1:

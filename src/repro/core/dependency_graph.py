@@ -13,18 +13,23 @@ Paper Section 4.1: the dependency graph contains
 Relational nodes from one certificate pair form a *node group* — the unit
 the bootstrap and merging steps operate on (e.g. for two birth
 certificates the group holds the mother, father, and baby pair nodes).
+
+Storage is columnar: node ``k`` is row ``k`` of integer columns, a group
+is a slice of a CSR index, and each attribute keeps one table of shared
+:class:`AtomicNode` values that nodes point into by id.  No Python
+object exists per node or per group — at perfbench scale that is 109k
+nodes and 89k groups — and relationship edges are derived on demand.
 """
 
 from __future__ import annotations
 
-import gc
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.blocking.candidates import CandidatePair, RecordTable, pair_masks
+from repro.blocking.candidates import RecordTable, pair_array, pair_masks
 from repro.core.batchscore import (
     STATE_ABSENT,
     STATE_MATCHED,
@@ -41,15 +46,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for hints only
 
 __all__ = [
     "AtomicNode",
-    "RelationalNode",
-    "NodeGroup",
     "DependencyGraph",
     "GraphSeeds",
     "build_dependency_graph",
     "build_graph_and_seeds",
 ]
 
-GroupKey = tuple[int, int]  # sorted certificate-id pair
+NodeKey = tuple[int, int]  # (rid_a, rid_b)
+Edge = tuple[NodeKey, str, NodeKey]
 
 
 @dataclass(frozen=True)
@@ -66,84 +70,46 @@ class AtomicNode:
         return (self.attribute, lo, hi)
 
 
-@dataclass
-class RelationalNode:
-    """A candidate record pair, with its currently attached atomic nodes.
+class DependencyGraph:
+    """G_D as columns.
 
-    ``atomic`` maps attribute name to the best-matching atomic node; under
-    PROP-A these are re-pointed as entities accumulate alternative QID
-    values (the (Smith, Taylor) → (Tayler, Taylor) example of Figure 4).
+    * Node ``k`` is the candidate pair ``(rid_a[k], rid_b[k])``, one per
+      pair, in pair order; ``merged[k]`` is set once merging consumes it.
+    * Group ``g`` holds the nodes of the certificate pair
+      ``group_keys[g]`` (sorted certificate ids):
+      ``group_nodes[group_offsets[g]:group_offsets[g + 1]]``, in pair
+      order.  Groups run in order of first appearance.
+    * ``atom_ids[attribute][k]`` is the node's atomic node for that
+      attribute, as an index into ``atoms[attribute]``, or -1 when it has
+      none.  Atomic nodes are shared; PROP-A re-points a node by writing
+      an id (:meth:`set_atomic`).
     """
 
-    rid_a: int
-    rid_b: int
-    group: GroupKey
-    atomic: dict[str, AtomicNode] = field(default_factory=dict)
-    merged: bool = False
-
-    def key(self) -> tuple[int, int]:
-        return (self.rid_a, self.rid_b)
-
-    def atomic_mean(self) -> float:
-        """Unweighted mean of attached atomic similarities (0 if none)."""
-        if not self.atomic:
-            return 0.0
-        return sum(n.similarity for n in self.atomic.values()) / len(self.atomic)
-
-
-@dataclass
-class NodeGroup:
-    """All relational nodes sharing one certificate pair, plus the
-    relationship edges between them."""
-
-    key: GroupKey
-    node_keys: list[tuple[int, int]] = field(default_factory=list)
-    # Edges: (node_key_a, relationship, node_key_b).  Most groups hold a
-    # single node and no edge; they share the empty tuple rather than
-    # each owning an empty list.
-    edges: Sequence[tuple[tuple[int, int], str, tuple[int, int]]] = ()
-
-
-class DependencyGraph:
-    """Container for the relational nodes, atomic registry, and groups."""
-
-    def __init__(self, dataset: Dataset) -> None:
+    def __init__(self, dataset: Dataset, attributes: Sequence[str] = ()) -> None:
         self.dataset = dataset
-        self.nodes: dict[tuple[int, int], RelationalNode] = {}
-        self.groups: dict[GroupKey, NodeGroup] = {}
+        self.rid_a = np.empty(0, dtype=np.int64)
+        self.rid_b = np.empty(0, dtype=np.int64)
+        self.merged = np.zeros(0, dtype=bool)
+        self.group_keys = np.empty((0, 2), dtype=np.int64)
+        self.group_offsets = np.zeros(1, dtype=np.int64)
+        self.group_nodes = np.empty(0, dtype=np.int64)
+        self.atoms: dict[str, list[AtomicNode]] = {name: [] for name in attributes}
+        self.atom_ids = {name: np.empty(0, dtype=np.int32) for name in attributes}
+        self._atom_index: dict[str, dict[AtomicNode, int]] = {}
         self._atomic_registry: set[tuple[str, str, str]] = set()
+        self._views()
+
+    def _views(self) -> None:
+        # Per-node scalar reads go through memoryviews: indexing one
+        # returns a Python int, where a numpy scalar would be slower and
+        # would leak numpy integers into the entity store.
+        self._rid_a = memoryview(self.rid_a)
+        self._rid_b = memoryview(self.rid_b)
+        self.atom_view = {
+            name: memoryview(ids) for name, ids in self.atom_ids.items()
+        }
 
     # ------------------------------------------------------------------
-
-    def add_node(self, node: RelationalNode) -> None:
-        """Insert a relational node and register it with its group."""
-        self.nodes[node.key()] = node
-        group = self.groups.get(node.group)
-        if group is None:
-            group = NodeGroup(key=node.group)
-            self.groups[node.group] = group
-        group.node_keys.append(node.key())
-        for atomic in node.atomic.values():
-            self._atomic_registry.add(atomic.key())
-
-    def register_atomic(self, atomic: AtomicNode) -> None:
-        """Count a (possibly re-pointed) atomic node in |N_A|."""
-        self._atomic_registry.add(atomic.key())
-
-    def node(self, key: tuple[int, int]) -> RelationalNode:
-        return self.nodes[key]
-
-    def records_of(self, node: RelationalNode) -> tuple[Record, Record]:
-        return (
-            self.dataset.record(node.rid_a),
-            self.dataset.record(node.rid_b),
-        )
-
-    def alive_group_nodes(self, group: NodeGroup) -> list[RelationalNode]:
-        """Unmerged nodes of ``group`` (merging consumes nodes)."""
-        return [
-            self.nodes[key] for key in group.node_keys if not self.nodes[key].merged
-        ]
 
     @property
     def n_atomic(self) -> int:
@@ -153,13 +119,106 @@ class DependencyGraph:
     @property
     def n_relational(self) -> int:
         """|N_R| — relational (record-pair) nodes."""
-        return len(self.nodes)
+        return len(self.rid_a)
 
-    def __iter__(self) -> Iterator[RelationalNode]:
-        return iter(self.nodes.values())
+    @property
+    def n_groups(self) -> int:
+        return len(self.group_keys)
 
-    def merged_nodes(self) -> list[RelationalNode]:
-        return [n for n in self.nodes.values() if n.merged]
+    def key(self, k: int) -> NodeKey:
+        """Node ``k``'s record pair."""
+        return self._rid_a[k], self._rid_b[k]
+
+    def keys(self) -> list[NodeKey]:
+        """Every node's record pair, in node order."""
+        return list(zip(self.rid_a.tolist(), self.rid_b.tolist()))
+
+    def records_of(self, k: int) -> tuple[Record, Record]:
+        record = self.dataset.record
+        return record(self._rid_a[k]), record(self._rid_b[k])
+
+    def group_members(self, g: int) -> np.ndarray:
+        """Node ids of group ``g``, in pair order."""
+        return self.group_nodes[self.group_offsets[g] : self.group_offsets[g + 1]]
+
+    def alive_groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """The unmerged nodes of every group that has one, in one pass.
+
+        Returns the node ids, group after group in group order, and each
+        such group's number of them.
+        """
+        if not len(self.group_nodes):
+            return self.group_nodes, self.group_nodes
+        alive = ~self.merged[self.group_nodes]
+        counts = np.add.reduceat(alive, self.group_offsets[:-1], dtype=np.int64)
+        return self.group_nodes[alive], counts[counts > 0]
+
+    # ------------------------------------------------------------------
+    # Atomic nodes
+    # ------------------------------------------------------------------
+
+    def atomic(self, k: int) -> dict[str, AtomicNode]:
+        """Node ``k``'s atomic nodes by attribute, in schema order."""
+        return {
+            name: self.atoms[name][i]
+            for name, ids in self.atom_view.items()
+            if (i := ids[k]) >= 0
+        }
+
+    def set_atomic(self, k: int, attribute: str, atomic: AtomicNode | None) -> None:
+        """Point node ``k``'s ``attribute`` at ``atomic`` (``None``: none)."""
+        self.atom_view[attribute][k] = -1 if atomic is None else self.intern(atomic)
+
+    def intern(self, atomic: AtomicNode) -> int:
+        """Id of ``atomic`` in its attribute's table, appended if new."""
+        table = self.atoms[atomic.attribute]
+        index = self._atom_index.get(atomic.attribute)
+        if index is None:
+            index = self._atom_index[atomic.attribute] = {
+                node: i for i, node in enumerate(table)
+            }
+        i = index.get(atomic)
+        if i is None:
+            i = index[atomic] = len(table)
+            table.append(atomic)
+        return i
+
+    def register_atomic(self, atomic: AtomicNode) -> None:
+        """Count a (possibly re-pointed) atomic node in |N_A|."""
+        self._atomic_registry.add(atomic.key())
+
+    # ------------------------------------------------------------------
+    # Relationship edges
+    # ------------------------------------------------------------------
+
+    def group_edges(self, g: int) -> list[Edge]:
+        """Relationship edges inside group ``g``, derived on demand.
+
+        Two relational nodes (ra, rc) and (rb, rd) are connected with
+        label ``rel`` when certificate A relates ra→rb and certificate B
+        relates rc→rd with the same relationship (Figure 3).  ``childOf``
+        edges are the reverses of Mof/Fof and are represented implicitly.
+        """
+        cert_a, cert_b = (
+            self.dataset.certificates[c] for c in self.group_keys[g].tolist()
+        )
+        members = self.group_members(g)
+        present = set(zip(self.rid_a[members].tolist(), self.rid_b[members].tolist()))
+        edges = []
+        for ra, rel_a, rb in cert_a.relationships():
+            for rc, rel_b, rd in cert_b.relationships():
+                if rel_a != rel_b:
+                    continue
+                pairings = [((ra, rc), (rb, rd))]
+                if rel_a == "Sof":
+                    # Spouse links are symmetric: also try the crossed pairing.
+                    pairings.append(((ra, rd), (rb, rc)))
+                for left, right in pairings:
+                    key_left = tuple(sorted(left))
+                    key_right = tuple(sorted(right))
+                    if key_left in present and key_right in present:
+                        edges.append((key_left, rel_a, key_right))
+        return edges
 
 
 @dataclass
@@ -168,52 +227,21 @@ class GraphSeeds:
 
     * ``sim_table`` — every comparator output the pairs imply, keyed
       ``(attribute, lo, hi)`` like ``PairScorer``'s similarity cache;
-    * ``node_scores`` — each node's initial ``[s_a, s_d]`` (``s_a`` is
-      ``None`` where it must be computed lazily);
-    * ``pair_validity`` — each pair's singleton-state constraint verdict.
+    * ``s_a`` / ``s_d`` — each node's initial Eq. (1) / Eq. (2) score
+      (``s_a`` is NaN where it must be computed lazily);
+    * ``verdict`` — each node's singleton-state constraint verdict (-1
+      where the build leaves it to the checker).
     """
 
     sim_table: dict[tuple[str, str, str], float] = field(default_factory=dict)
-    node_scores: dict[tuple[int, int], list] = field(default_factory=dict)
-    pair_validity: dict[tuple[int, int], int] = field(default_factory=dict)
-
-
-def _group_edges(graph: DependencyGraph, group: NodeGroup) -> None:
-    """Derive relationship edges inside one certificate-pair group.
-
-    Two relational nodes (ra, rc) and (rb, rd) are connected with label
-    ``rel`` when certificate A relates ra→rb and certificate B relates
-    rc→rd with the same relationship (Figure 3).  ``childOf`` edges are
-    the reverses of Mof/Fof and are represented implicitly.
-    """
-    cert_a = graph.dataset.certificates[group.key[0]]
-    cert_b = graph.dataset.certificates[group.key[1]]
-    present = set(group.node_keys)
-    rels_a = cert_a.relationships()
-    rels_b = cert_b.relationships()
-    edges = []
-    for ra, rel_a, rb in rels_a:
-        for rc, rel_b, rd in rels_b:
-            if rel_a != rel_b:
-                continue
-            for left, right in (((ra, rc), (rb, rd)),):
-                key_left = tuple(sorted(left))
-                key_right = tuple(sorted(right))
-                if key_left in present and key_right in present:
-                    edges.append((key_left, rel_a, key_right))
-            if rel_a == "Sof":
-                # Spouse links are symmetric: also try the crossed pairing.
-                key_left = tuple(sorted((ra, rd)))
-                key_right = tuple(sorted((rb, rc)))
-                if key_left in present and key_right in present:
-                    edges.append((key_left, "Sof", key_right))
-    if edges:
-        group.edges = edges
+    s_a: np.ndarray = field(default_factory=lambda: np.empty(0))
+    s_d: np.ndarray = field(default_factory=lambda: np.empty(0))
+    verdict: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int8))
 
 
 def build_dependency_graph(
     dataset: Dataset,
-    candidate_pairs: Iterable[CandidatePair],
+    candidate_pairs,
     config: SnapsConfig,
     registry: ComparatorRegistry | None = None,
 ) -> DependencyGraph:
@@ -223,18 +251,21 @@ def build_dependency_graph(
 
 def build_graph_and_seeds(
     dataset: Dataset,
-    candidate_pairs: Iterable[CandidatePair],
+    candidate_pairs,
     config: SnapsConfig,
     registry: ComparatorRegistry | None = None,
     frequencies: "NameFrequencyIndex | None" = None,
 ) -> tuple[DependencyGraph, GraphSeeds]:
     """Construct G_D from filtered candidate pairs, plus its seed tables.
 
-    For each candidate pair a relational node is created; each schema
-    attribute present on both records whose similarity reaches ``t_a``
-    contributes an atomic node.  The build is one array pass: each
-    attribute's values get integer codes in sorted string order, the
-    distinct unordered ``(attribute, lo, hi)`` code pairs are found with
+    ``candidate_pairs`` is anything :func:`~repro.blocking.candidates.pair_array`
+    takes: the blocking phase's ``(n, 2)`` array, a
+    :class:`~repro.blocking.candidates.PairArray`, or pairs.  For each
+    candidate pair a relational node is created; each schema attribute
+    present on both records whose similarity reaches ``t_a`` contributes
+    an atomic node.  The build is one array pass: each attribute's
+    values get integer codes in sorted string order, the distinct
+    unordered ``(attribute, lo, hi)`` code pairs are found with
     ``np.unique``, and the registry is called once per distinct pair, in
     the orientation in which that pair first appears — so the cost
     follows *distinct* value pairs rather than record pairs (names
@@ -244,27 +275,18 @@ def build_graph_and_seeds(
 
     ``frequencies`` is the name-frequency index ``s_d`` is seeded from
     (the resolver passes the one its scorer uses); it defaults to one
-    built from ``dataset``.  Cyclic GC is paused while the objects are created:
-    the build makes no reference cycles, so collections would only
-    re-scan the growing graph.
+    built from ``dataset``.
     """
     registry = registry or default_registry()
     if frequencies is None:
         from repro.core.scoring import NameFrequencyIndex
 
         frequencies = NameFrequencyIndex(dataset)
-    graph = DependencyGraph(dataset)
+    graph = DependencyGraph(dataset, config.schema.names())
     seeds = GraphSeeds()
-    pairs = list(candidate_pairs)
-    if not pairs:
-        return graph, seeds
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
+    pairs = pair_array(candidate_pairs)
+    if len(pairs):
         _build(graph, seeds, pairs, config, registry, frequencies)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
     return graph, seeds
 
 
@@ -272,45 +294,42 @@ def _build(graph, seeds, pairs, config, registry, frequencies) -> None:
     records = list(graph.dataset)
     table = RecordTable(records)
     n = len(pairs)
-    rids_a = np.fromiter((pair.rid_a for pair in pairs), dtype=np.int64, count=n)
-    rids_b = np.fromiter((pair.rid_b for pair in pairs), dtype=np.int64, count=n)
-    ia, ib = table.rows(rids_a), table.rows(rids_b)
+    graph.rid_a = np.ascontiguousarray(pairs[:, 0])
+    graph.rid_b = np.ascontiguousarray(pairs[:, 1])
+    graph.merged = np.zeros(n, dtype=bool)
+    ia, ib = table.rows(graph.rid_a), table.rows(graph.rid_b)
 
-    # Relational nodes and groups, in pair order.
+    # Groups: each node's sorted certificate pair, numbered in order of
+    # first appearance, then a stable sort lists each group's nodes in
+    # pair order.
     certs_a, certs_b = table.cert[ia], table.cert[ib]
-    keys = list(zip(rids_a.tolist(), rids_b.tolist()))
-    group_keys = list(
-        zip(
-            np.minimum(certs_a, certs_b).tolist(),
-            np.maximum(certs_a, certs_b).tolist(),
-        )
+    cert_pairs = np.stack(
+        (np.minimum(certs_a, certs_b), np.maximum(certs_a, certs_b)), axis=1
     )
-    nodes = [RelationalNode(a, b, group) for (a, b), group in zip(keys, group_keys)]
-    graph.nodes.update(zip(keys, nodes))
-    groups = graph.groups
-    for key, group_key in zip(keys, group_keys):
-        group = groups.get(group_key)
-        if group is None:
-            group = groups[group_key] = NodeGroup(group_key)
-        group.node_keys.append(key)
+    distinct, first, group_of = np.unique(
+        cert_pairs, axis=0, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first, kind="stable")
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    group_of = rank[group_of.reshape(-1)]
+    graph.group_keys = distinct[order]
+    graph.group_nodes = np.argsort(group_of, kind="stable")
+    graph.group_offsets = np.concatenate(
+        ([0], np.cumsum(np.bincount(group_of, minlength=len(order))))
+    )
 
-    # Atomic nodes, attribute by attribute, so each node's ``atomic``
-    # keeps schema order.
+    # Atomic nodes, attribute by attribute.
     sims: list[np.ndarray] = []
     states: list[np.ndarray] = []
     for attribute in config.schema.names():
         column = [record.get(attribute) for record in records]
         sim, state = _attach_atomic(
-            graph, seeds, nodes, attribute, column, ia, ib, config, registry
+            graph, seeds, attribute, column, ia, ib, config, registry
         )
         sims.append(sim)
         states.append(state)
-
-    for group in groups.values():
-        # A single-node group has no edge unless its two certificates
-        # are one (a hand-built same-certificate pair).
-        if len(group.node_keys) > 1 or group.key[0] == group.key[1]:
-            _group_edges(graph, group)
+    graph._views()
 
     # Seeds: Equations (1) and (2) per node.  With temporal decay, s_a
     # needs both event years; a pair lacking one is left to the scorer.
@@ -318,9 +337,8 @@ def _build(graph, seeds, pairs, config, registry, frequencies) -> None:
     half_life = config.temporal_decay_half_life
     gaps = np.abs(table.year[ia] - table.year[ib])
     s_a = batch_atomic_similarity(config.schema, half_life, gaps, sims, states)
-    s_a = s_a.tolist()
     if half_life is not None:
-        s_a = [value if ok else None for value, ok in zip(s_a, dated.tolist())]
+        s_a[~dated] = np.nan
     freq = np.array([frequencies.frequency(record) for record in records])
     n_total = max(2, frequencies.total_records)
     sums, sum_of = np.unique(freq[ia] + freq[ib], return_inverse=True)
@@ -328,25 +346,22 @@ def _build(graph, seeds, pairs, config, registry, frequencies) -> None:
         min(1.0, max(0.0, math.log2(n_total / f) / math.log2(n_total)))
         for f in sums.tolist()
     ]
-    s_d = [s_d_of[u] for u in sum_of.reshape(-1).tolist()]
-    seeds.node_scores = {key: [a, d] for key, a, d in zip(keys, s_a, s_d)}
+    seeds.s_a = s_a
+    seeds.s_d = np.array(s_d_of, dtype=np.float64)[sum_of.reshape(-1)]
 
     # Singleton-state verdicts: 1 (record-level reject) or 0 (mergeable).
     # For single-record entities every entity-level check degenerates to
     # its record-level counterpart, so the two coincide until a merge
-    # grows an entity.  Pairs with an undated record stay unseeded.
+    # grows an entity.  Pairs with an undated record stay unseeded (-1).
     reject = np.zeros(n, dtype=bool)
     for mask in pair_masks(table, ia, ib, config.temporal_slack_years):
         reject |= mask
     role_a = table.role[ia]
     reject |= table.singleton_role[role_a] & (role_a == table.role[ib])
-    levels = reject.astype(np.int64).tolist()
-    seeds.pair_validity = {
-        keys[k]: levels[k] for k in np.flatnonzero(dated).tolist()
-    }
+    seeds.verdict = np.where(dated, reject, -1).astype(np.int8)
 
 
-def _attach_atomic(graph, seeds, nodes, attribute, column, ia, ib, config, registry):
+def _attach_atomic(graph, seeds, attribute, column, ia, ib, config, registry):
     """Score one attribute over all pairs and attach its atomic nodes.
 
     ``column`` holds each record's value (``None`` when missing).
@@ -394,16 +409,15 @@ def _attach_atomic(graph, seeds, nodes, attribute, column, ia, ib, config, regis
         if ok:
             graph._atomic_registry.add(key)
 
-    n = len(nodes)
+    n = len(ia)
     node_admitted = admitted[pair_of]
     sim = np.zeros(n, dtype=np.float64)
     sim[present] = np.where(node_admitted, sims[pair_of], 0.0)
     state = np.full(n, STATE_ABSENT, dtype=np.int8)
     state[present] = np.where(node_admitted, STATE_MATCHED, STATE_PRESENT)
 
-    # One shared AtomicNode per oriented value pair: PROP-A compares
-    # nodes by equality, and the dataclass is frozen, so sharing is
-    # indistinguishable from a fresh instance per node.
+    # One shared AtomicNode per oriented value pair, which every node
+    # holding that pair points at.
     hits = np.flatnonzero(node_admitted)
     _, atom_first, atom_of = np.unique(
         codes_a[hits] * len(values) + codes_b[hits],
@@ -411,7 +425,7 @@ def _attach_atomic(graph, seeds, nodes, attribute, column, ia, ib, config, regis
         return_inverse=True,
     )
     firsts = hits[atom_first]
-    atoms = [
+    graph.atoms[attribute] = [
         AtomicNode(attribute, values[x], values[y], distinct_sims[u])
         for x, y, u in zip(
             codes_a[firsts].tolist(),
@@ -419,6 +433,7 @@ def _attach_atomic(graph, seeds, nodes, attribute, column, ia, ib, config, regis
             pair_of[firsts].tolist(),
         )
     ]
-    for k, a in zip(present[hits].tolist(), atom_of.reshape(-1).tolist()):
-        nodes[k].atomic[attribute] = atoms[a]
+    ids = np.full(n, -1, dtype=np.int32)
+    ids[present[hits]] = atom_of.reshape(-1)
+    graph.atom_ids[attribute] = ids
     return sim, state

@@ -113,8 +113,10 @@ class FeedbackAwareChecker(ConstraintChecker):
         )
         self._session = session
 
-    def can_merge(self, store: EntityStore, a: Record, b: Record) -> bool:
-        if not super().can_merge(store, a, b):
+    def can_merge(
+        self, store: EntityStore, a: Record, b: Record, node: int = -1
+    ) -> bool:
+        if not super().can_merge(store, a, b, node):
             return False
         entity_a = store.entity_of(a.record_id)
         entity_b = store.entity_of(b.record_id)

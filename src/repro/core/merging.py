@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.core.config import SnapsConfig
 from repro.core.constraints import ConstraintChecker
-from repro.core.dependency_graph import DependencyGraph, RelationalNode
+from repro.core.dependency_graph import DependencyGraph
 from repro.core.entities import EntityStore
 from repro.core.scoring import PairScorer
 from repro.obs.metrics import SIMILARITY_BUCKETS
@@ -58,33 +58,25 @@ def iterative_merge(
     (``similarity.merge_gate``) already computed by the REL loop.
     """
     # A node's ``merged`` flag changes only while its own group is
-    # processed, so each group's alive nodes are found once, here.  Most
-    # groups hold one node, which is kept as is rather than in a list;
-    # groups with no alive node would sort last and be skipped anyway.
-    nodes_of = graph.nodes
-    alive: list = []
-    flat: list[RelationalNode] = []
-    sizes: list[int] = []
-    for group in graph.groups.values():
-        nodes = [
-            node
-            for node in map(nodes_of.__getitem__, group.node_keys)
-            if not node.merged
-        ]
-        if nodes:
-            alive.append(nodes if len(nodes) > 1 else nodes[0])
-            flat += nodes
-            sizes.append(len(nodes))
+    # processed, so each group's alive nodes are found once, here, in one
+    # pass; groups with no alive node would sort last and be skipped
+    # anyway, so they are left out.
+    flat, sizes = graph.alive_groups()
     # Priority: group size, then mean combined similarity.  The queue is
     # static (merging never creates groups), so a stable sort is the
     # priority queue: lexsort keeps equal keys in group order, as
     # ``sorted(..., reverse=True)`` of (size, mean) tuples would.
-    size = np.array(sizes, dtype=np.int64)
-    mean = _group_means(scorer.combined_similarities(flat), size)
-    order = np.lexsort((-mean, -size)).tolist()
-    del flat, sizes, size, mean
+    mean = _group_means(scorer.combined_similarities(graph, flat), sizes)
+    # The loop reads the arrays through memoryviews, whose items are
+    # Python ints, rather than holding a list of ints per node.
+    order = memoryview(np.lexsort((-mean, -sizes)))
+    starts = memoryview(np.cumsum(sizes) - sizes)
+    sizes, flat = memoryview(sizes), memoryview(flat)
+    del mean
 
+    key = graph.key
     record = graph.dataset.record
+    merged_flags = graph.merged
     can_merge = checker.can_merge
     same_entity = store.same_entity
     propagate = scorer.propagate_values if config.use_propagation else None
@@ -109,10 +101,17 @@ def iterative_merge(
 
     merged_count = groups_merged = 0
     for index in order:
-        node = alive[index]
-        if type(node) is list:
+        start = starts[index]
+        if sizes[index] > 1:
             merged = _process_group(
-                node, graph, store, scorer, checker, config, metrics, observe_gate
+                flat[start : start + sizes[index]].tolist(),
+                graph,
+                store,
+                scorer,
+                checker,
+                config,
+                metrics,
+                observe_gate,
             )
             groups_merged += merged > 0
             merged_count += merged
@@ -121,24 +120,25 @@ def iterative_merge(
         # order, without the loop.  It is gated on its combined or atomic
         # similarity (``gate_on_combined``, see ``_process_group``), and
         # a node the loop would drop ends the group.
-        rid_a, rid_b = node.rid_a, node.rid_b
+        k = flat[start]
+        rid_a, rid_b = key(k)
         a, b = record(rid_a), record(rid_b)
-        if not (can_merge(store, a, b) or same_entity(rid_a, rid_b)):
+        if not (can_merge(store, a, b, k) or same_entity(rid_a, rid_b)):
             continue
         if propagate is not None:
-            propagate(graph, node, store)
-        if has_must_evidence is not None and not has_must_evidence(node):
+            propagate(graph, k, store)
+        if has_must_evidence is not None and not has_must_evidence(graph, k):
             continue
-        gate = atomic_similarity(node)
+        gate = atomic_similarity(graph, k)
         if gate_similarity is not None:
-            gate = gate_similarity(node)
+            gate = gate_similarity(graph, k)
         if observe_gate is not None:
             observe_gate(gate)
         if gate >= threshold and (
-            same_entity(rid_a, rid_b) or can_merge(store, a, b)
+            same_entity(rid_a, rid_b) or can_merge(store, a, b, k)
         ):
             store.merge(rid_a, rid_b)
-            node.merged = True
+            merged_flags[k] = True
             groups_merged += 1
             merged_count += 1
     if metrics is not None:
@@ -177,7 +177,7 @@ def _group_means(combined: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 
 def _process_group(
-    nodes: list[RelationalNode],
+    nodes: list[int],
     graph: DependencyGraph,
     store: EntityStore,
     scorer: PairScorer,
@@ -186,7 +186,8 @@ def _process_group(
     metrics: "MetricsRegistry | None" = None,
     observe_gate: "Callable[[float], None] | None" = None,
 ) -> int:
-    """Apply the REL loop to one group; return nodes merged.
+    """Apply the REL loop to the group of node ids ``nodes``; return
+    nodes merged.
 
     Gate policy: a group of two or more mutually-supporting nodes is
     gated on its mean atomic similarity (Eq. 1) — relationship structure
@@ -202,33 +203,36 @@ def _process_group(
     # two agreeing parent nodes → merge parents) from the father-and-son
     # namesake case (one agreeing father node vs one disagreeing wife
     # node → no merge).
+    key = graph.key
     record = graph.dataset.record
     can_merge = checker.can_merge
     same_entity = store.same_entity
+
+    def mergeable(k: int) -> bool:
+        rid_a, rid_b = key(k)
+        return can_merge(store, record(rid_a), record(rid_b), k) or same_entity(
+            rid_a, rid_b
+        )
+
     disagreements = 0
     while nodes:
-        valid = [
-            node
-            for node in nodes
-            if can_merge(store, record(node.rid_a), record(node.rid_b))
-            or same_entity(node.rid_a, node.rid_b)
-        ]
+        valid = [k for k in nodes if mergeable(k)]
         if len(valid) < len(nodes):
             if not use_rel:
                 return 0  # a violating node blocks the whole group
             nodes = valid
             continue
         if config.use_propagation:
-            for node in valid:
-                scorer.propagate_values(graph, node, store)
+            for k in valid:
+                scorer.propagate_values(graph, k, store)
         if use_rel:
-            supported: list[RelationalNode] = []
-            unsupported: list[RelationalNode] = []
-            for node in valid:
-                if scorer.has_must_evidence(node):
-                    supported.append(node)
+            supported: list[int] = []
+            unsupported: list[int] = []
+            for k in valid:
+                if scorer.has_must_evidence(graph, k):
+                    supported.append(k)
                 else:
-                    unsupported.append(node)
+                    unsupported.append(k)
             if unsupported:
                 # REL's node-dropping: nodes without Must-attribute
                 # evidence may never merge.  A node whose Must values are
@@ -238,21 +242,19 @@ def _process_group(
                 # weak node stays and drags the group average down — the
                 # paper's partial-match-group failure mode.
                 disagreements += sum(
-                    1
-                    for n in unsupported
-                    if _must_values_disagree(graph, scorer, n)
+                    1 for k in unsupported if _must_values_disagree(graph, scorer, k)
                 )
                 nodes = supported
                 continue
-        atomic = [scorer.atomic_similarity(n) for n in valid]
+        atomic = [scorer.atomic_similarity(graph, k) for k in valid]
         if use_rel and len(valid) > 1 and min(atomic) < config.node_floor:
             # A clearly-dissimilar node (a sibling pair, say) must not be
             # dragged into a merge by an otherwise-strong group.
-            kept = [n for n, s in zip(valid, atomic) if s >= config.node_floor]
+            kept = [k for k, s in zip(valid, atomic) if s >= config.node_floor]
             disagreements += sum(
                 1
-                for n, s in zip(valid, atomic)
-                if s < config.node_floor and _must_values_disagree(graph, scorer, n)
+                for k, s in zip(valid, atomic)
+                if s < config.node_floor and _must_values_disagree(graph, scorer, k)
             )
             nodes = kept
             continue
@@ -261,26 +263,27 @@ def _process_group(
         if len(valid) >= 2:
             mean_gate = sum(atomic) / len(atomic)
         elif config.gate_on_combined:
-            mean_gate = scorer.combined_similarity(valid[0])
+            mean_gate = scorer.combined_similarity(graph, valid[0])
         else:
             mean_gate = atomic[0]
         if observe_gate is not None:
             observe_gate(mean_gate)
         if mean_gate >= config.merge_threshold:
             merged = 0
-            for node in valid:
-                if same_entity(node.rid_a, node.rid_b) or can_merge(
-                    store, record(node.rid_a), record(node.rid_b)
+            for k in valid:
+                rid_a, rid_b = key(k)
+                if same_entity(rid_a, rid_b) or can_merge(
+                    store, record(rid_a), record(rid_b), k
                 ):
-                    store.merge(node.rid_a, node.rid_b)
-                    node.merged = True
+                    store.merge(rid_a, rid_b)
+                    graph.merged[k] = True
                     merged += 1
             return merged
         if not use_rel or len(valid) == 1:
             return 0
         # Drop the weakest node by combined similarity (ambiguous pairs
         # are least trustworthy) and retry with the rest.
-        combined = [scorer.combined_similarity(n) for n in valid]
+        combined = [scorer.combined_similarity(graph, k) for k in valid]
         weakest = min(range(len(valid)), key=lambda i: combined[i])
         if _must_values_disagree(graph, scorer, valid[weakest]):
             disagreements += 1
@@ -290,19 +293,18 @@ def _process_group(
     return 0
 
 
-def _must_values_disagree(
-    graph: DependencyGraph, scorer: PairScorer, node: RelationalNode
-) -> bool:
-    """True when the node's records both carry a Must attribute (of the
+def _must_values_disagree(graph: DependencyGraph, scorer: PairScorer, k: int) -> bool:
+    """True when node ``k``'s records both carry a Must attribute (of the
     scorer's schema) whose best similarity still falls below the atomic
     threshold — active negative evidence, as opposed to mere missing
     values."""
-    a, b = graph.records_of(node)
+    a, b = graph.records_of(k)
+    views = graph.atom_view
     for attribute in scorer.must_names:
         value_a, value_b = a.get(attribute), b.get(attribute)
         if value_a is None or value_b is None:
             continue
-        if attribute in node.atomic:
+        if views[attribute][k] >= 0:
             continue  # an atomic node exists, so the values agree
         return True
     return False

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 
 from repro.blocking.lsh import LshBlocker
 from repro.blocking.composite import CompositeBlocker, PhoneticNameKeyBlocker
-from repro.blocking.candidates import generate_candidate_pairs
+from repro.blocking.candidates import PairArray, generate_candidate_pairs, pair_array
 from repro.core.bootstrap import bootstrap_merge
 from repro.core.config import SnapsConfig
 from repro.core.constraints import ConstraintChecker
@@ -160,14 +160,16 @@ class SnapsResolver:
         metrics: MetricsRegistry | None = None,
         parallel: "ParallelConfig | None" = None,
         trace: Trace | None = None,
-    ) -> list:
+    ) -> PairArray:
         """Run the configured blocking stack alone; return candidate pairs.
 
         The same pairs :meth:`resolve` would generate internally — exposed
         so callers can count or time blocking on its own and hand the
-        pairs back through ``resolve(pairs=...)``.  ``parallel`` enables the
-        vectorised-signature + chunked-filter path (same pairs, same
-        order, same metric totals as serial).
+        pairs back through ``resolve(pairs=...)``.  The pairs come as one
+        ``(n, 2)`` array (:attr:`PairArray.array`) whose items read as
+        :class:`~repro.blocking.candidates.CandidatePair`.  ``parallel``
+        enables the vectorised-signature + chunked-filter path (same
+        pairs, same order, same metric totals as serial).
         """
         config = self.config
         blocker: object = LshBlocker(
@@ -186,23 +188,27 @@ class SnapsResolver:
         if workers >= 1:
             from repro.parallel import parallel_candidate_pairs
 
-            return parallel_candidate_pairs(
-                dataset,
-                blocker,
-                config,
-                workers,
-                parallel,
-                roles=roles,
-                trace=trace,
-                metrics=metrics,
+            return PairArray(
+                parallel_candidate_pairs(
+                    dataset,
+                    blocker,
+                    config,
+                    workers,
+                    parallel,
+                    roles=roles,
+                    trace=trace,
+                    metrics=metrics,
+                )
             )
-        return list(
-            generate_candidate_pairs(
-                dataset,
-                blocker,
-                temporal_slack_years=config.temporal_slack_years,
-                roles=roles,
-                metrics=metrics,
+        return PairArray(
+            pair_array(
+                generate_candidate_pairs(
+                    dataset,
+                    blocker,
+                    temporal_slack_years=config.temporal_slack_years,
+                    roles=roles,
+                    metrics=metrics,
+                )
             )
         )
 
@@ -212,7 +218,7 @@ class SnapsResolver:
         roles: list[Role] | None = None,
         trace: Trace | None = None,
         metrics: MetricsRegistry | None = None,
-        pairs: list | None = None,
+        pairs=None,
         checkpoint=None,
         parallel: "ParallelConfig | None" = None,
     ) -> LinkageResult:
@@ -225,7 +231,8 @@ class SnapsResolver:
 
         ``pairs`` substitutes the candidate pairs a caller already got
         from :meth:`block` on the same dataset for the blocking phase
-        (the output is the same as letting ``resolve`` block).
+        (the output is the same as letting ``resolve`` block); anything
+        :func:`~repro.blocking.candidates.pair_array` takes will do.
 
         ``checkpoint`` accepts a
         :class:`~repro.core.checkpoint.ResolveCheckpointer`: each phase
@@ -260,6 +267,8 @@ class SnapsResolver:
                 metrics.inc("resolver.phases_resumed", len(completed))
         logger.info("resolving %s (%d records)", dataset.name, len(dataset))
         with trace.span("resolve"):
+            if pairs is not None:
+                pairs = pair_array(pairs)
             if pairs is None:
                 if "blocking" in completed:
                     pairs = checkpoint.load_pairs()
@@ -274,7 +283,7 @@ class SnapsResolver:
                             metrics=metrics,
                             parallel=parallel,
                             trace=trace,
-                        )
+                        ).array
                     logger.info("blocking produced %d candidate pairs", len(pairs))
                     if checkpoint is not None:
                         checkpoint.save_pairs(pairs)
@@ -319,9 +328,9 @@ class SnapsResolver:
                 propagate=config.use_propagation,
                 metrics=metrics,
             )
-            scorer.seed_caches(seeds.sim_table, seeds.node_scores)
-            checker.seed_pair_validity(seeds.pair_validity)
-            del seeds  # the scorer copied its tables; free the originals
+            scorer.seed_caches(seeds.sim_table, seeds.s_a, seeds.s_d)
+            checker.seed_verdicts(seeds.verdict)
+            del seeds  # the scorer copied the similarity table; free it
             if metrics is not None and workers >= 1:
                 metrics.set_gauge("parallel.workers", workers)
 

@@ -1,6 +1,6 @@
 """Node similarity: Equations (1)–(3) with AMB and PROP-A.
 
-``PairScorer`` computes, for a relational node:
+``PairScorer`` computes, for relational node ``k`` of a dependency graph:
 
 * the **atomic similarity** ``s_a`` (Eq. 1) — weighted combination of the
   Must/Core/Extra category averages of the node's atomic-node
@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from repro.core.config import SnapsConfig
-from repro.core.dependency_graph import AtomicNode, DependencyGraph, RelationalNode
+from repro.core.dependency_graph import AtomicNode, DependencyGraph
 from repro.core.entities import EntityStore
 from repro.data.records import Dataset, Record
 from repro.data.schema import AttributeCategory
@@ -98,21 +98,23 @@ class PairScorer:
         )
         self.must_names = tuple(schema.names_in(AttributeCategory.MUST))
         self._sim_cache: dict[tuple[str, str, str], float] = {}
-        # Per-node scores seeded from the graph build: (rid_a, rid_b) ->
-        # [s_a | None, s_d].  s_d is a pure function of the two records
-        # and is never invalidated; s_a is dropped whenever PROP-A
-        # actually changes ``node.atomic``.  A key is present only for
-        # nodes the graph build produced.
-        self._node_scores: dict[tuple[int, int], list] = {}
+        # Per-node scores seeded from the graph build, indexed by node id
+        # (memoryviews over float64 columns; ``None`` when unseeded).  s_d
+        # is a pure function of the two records and is never
+        # invalidated; s_a is set to NaN whenever PROP-A actually changes
+        # the node's atomic nodes, and recomputed on the next read.
+        self._s_a: memoryview | None = None
+        self._s_d: memoryview | None = None
         # PROP-A result memo.  The best value pair per attribute is a
         # pure function of the two entities' value sets, so one
         # computation serves every node whose records sit in the same
         # pair of entity states.  (entity_id, size) identifies a state
         # exactly: ids are never reused and every membership change either
-        # grows the entity or replaces it with a fresh id.  An entry's
-        # atomic nodes are registered in ``_memo_graph`` when the entry is
-        # computed; a call with another graph starts the memo afresh.
-        self._propagate_memo: dict[tuple, dict[str, AtomicNode | None]] = {}
+        # grows the entity or replaces it with a fresh id.  An entry holds
+        # ``(attribute, atom id)`` pairs of ``_memo_graph`` (-1: no atomic
+        # node), registered there when the entry is computed; a call with
+        # another graph starts the memo afresh.
+        self._propagate_memo: dict[tuple, tuple[tuple[str, int], ...]] = {}
         self._memo_graph: DependencyGraph | None = None
         # PROP-A value tables: (entity_id, size) -> attribute -> the
         # entity's sorted distinct values (``EntityStore.value_table``).
@@ -145,17 +147,21 @@ class PairScorer:
     def seed_caches(
         self,
         sim_table: dict[tuple[str, str, str], float],
-        node_scores: dict[tuple[int, int], list],
+        s_a: np.ndarray,
+        s_d: np.ndarray,
     ) -> None:
-        """Install the graph build's similarity and node-score tables.
+        """Install the graph build's similarity table and score columns.
 
         The build supplies every comparator output implied by the
-        candidate pairs plus each node's initial ``s_a``/``s_d``, all
-        computed to the bit as the scorer would compute them — the
-        caches change where numbers come from, never what they are.
+        candidate pairs plus each node's initial ``s_a`` (NaN: compute
+        lazily) and ``s_d``, all computed to the bit as the scorer would
+        compute them — the caches change where numbers come from, never
+        what they are.  The columns are indexed by the node ids of the
+        graph they were built with, and ``s_a`` is written in place.
         """
         self._sim_cache.update(sim_table)
-        self._node_scores.update(node_scores)
+        self._s_a = memoryview(np.ascontiguousarray(s_a, dtype=np.float64))
+        self._s_d = memoryview(np.ascontiguousarray(s_d, dtype=np.float64))
 
     def publish_cache_metrics(self, metrics) -> None:
         """Record cache hit/miss/size under ``scoring.*`` metrics."""
@@ -166,7 +172,9 @@ class PairScorer:
         metrics.set_gauge("scoring.sim_cache.size", len(self._sim_cache))
         metrics.inc("scoring.node_cache.hits", self._node_hits)
         metrics.inc("scoring.node_cache.misses", self._node_misses)
-        metrics.set_gauge("scoring.node_cache.size", len(self._node_scores))
+        metrics.set_gauge(
+            "scoring.node_cache.size", 0 if self._s_d is None else len(self._s_d)
+        )
         metrics.inc("scoring.propagate_memo.hits", self._propagate_hits)
         metrics.inc("scoring.propagate_memo.misses", self._propagate_misses)
         metrics.set_gauge("scoring.propagate_memo.size", len(self._propagate_memo))
@@ -176,26 +184,24 @@ class PairScorer:
     # ------------------------------------------------------------------
 
     def propagate_values(
-        self,
-        graph: DependencyGraph,
-        node: RelationalNode,
-        store: EntityStore,
+        self, graph: DependencyGraph, k: int, store: EntityStore
     ) -> None:
-        """Update ``node.atomic`` with the best value pairs across the two
-        records' current entities (global propagation of QID values).
+        """Re-point node ``k``'s atomic nodes at the best value pairs
+        across the two records' current entities (global propagation of
+        QID values).
 
         For each schema attribute, every value the two entities have been
         seen under is considered; the highest-similarity cross pair wins.
         An attribute whose best pair still falls below ``t_a`` keeps no
         atomic node.
         """
-        entity_a = store.entity_of(node.rid_a)
-        entity_b = store.entity_of(node.rid_b)
-        key = (node.rid_a, node.rid_b)
+        rid_a, rid_b = graph.key(k)
+        entity_a = store.entity_of(rid_a)
+        entity_b = store.entity_of(rid_b)
         if (
             len(entity_a.record_ids) == 1
             and len(entity_b.record_ids) == 1
-            and key in self._node_scores
+            and self._s_d is not None
         ):
             # A node of the seeded graph whose entities are both still
             # singletons: each value set is exactly the record's own
@@ -220,31 +226,26 @@ class PairScorer:
         memo = self._propagate_memo.get(state)
         if memo is None:
             self._propagate_misses += 1
-            memo = self._propagate_memo[state] = self._best_pairs(
-                store, entity_a, entity_b
-            )
-            for best in memo.values():
-                if best is not None:
+            entry = []
+            for attribute, best in self._best_pairs(store, entity_a, entity_b).items():
+                if best is None:
+                    entry.append((attribute, -1))
+                else:
                     graph.register_atomic(best)
+                    entry.append((attribute, graph.intern(best)))
+            memo = self._propagate_memo[state] = tuple(entry)
         else:
             self._propagate_hits += 1
-        atomic = node.atomic
+        views = graph.atom_view
         changed = False
-        for attribute, best in memo.items():
-            if best is not None:
-                current = atomic.get(attribute)
-                if current is not best:
-                    if current != best:
-                        changed = True
-                    atomic[attribute] = best
-            elif attribute in atomic:
-                del atomic[attribute]
+        for attribute, best in memo:
+            ids = views[attribute]
+            if ids[k] != best:
+                ids[k] = best
                 changed = True
-        if changed:
+        if changed and self._s_a is not None:
             # The node's atomic evidence moved: its cached s_a is stale.
-            entry = self._node_scores.get(key)
-            if entry is not None:
-                entry[0] = None
+            self._s_a[k] = math.nan
 
     def _best_pair(
         self, attribute: str, values_a: list[str], values_b: list[str]
@@ -321,7 +322,7 @@ class PairScorer:
     # Equations (1)-(3)
     # ------------------------------------------------------------------
 
-    def has_must_evidence(self, node: RelationalNode) -> bool:
+    def has_must_evidence(self, graph: DependencyGraph, k: int) -> bool:
         """True when at least one Must attribute has an atomic node.
 
         The paper requires records to "have highly similar values in the
@@ -330,25 +331,27 @@ class PairScorer:
         agreement alone (surname + address match any two household
         members).
         """
-        atomic = node.atomic
+        views = graph.atom_view
         for attribute in self.must_names:
-            if attribute in atomic:
+            if views[attribute][k] >= 0:
                 return True
         return False
 
-    def atomic_similarity(self, node: RelationalNode) -> float:
+    def atomic_similarity(self, graph: DependencyGraph, k: int) -> float:
         """Equation (1), memoised per seeded node."""
-        entry = self._node_scores.get((node.rid_a, node.rid_b))
-        if entry is not None and entry[0] is not None:
-            self._node_hits += 1
-            return entry[0]
+        s_a = self._s_a
+        if s_a is not None:
+            value = s_a[k]
+            if value == value:  # not NaN
+                self._node_hits += 1
+                return value
         self._node_misses += 1
-        value = self._atomic_similarity_uncached(node)
-        if entry is not None:
-            entry[0] = value
+        value = self._atomic_similarity_uncached(graph, k)
+        if s_a is not None:
+            s_a[k] = value
         return value
 
-    def _atomic_similarity_uncached(self, node: RelationalNode) -> float:
+    def _atomic_similarity_uncached(self, graph: DependencyGraph, k: int) -> float:
         """Equation (1): weighted Must/Core/Extra category combination.
 
         An attribute present on both records but lacking an atomic node
@@ -359,7 +362,8 @@ class PairScorer:
         Must attribute cannot score above the merge threshold on category
         evidence alone, which the caller's threshold handles naturally.
         """
-        a, b = self.dataset.record(node.rid_a), self.dataset.record(node.rid_b)
+        a, b = graph.records_of(k)
+        views, atoms = graph.atom_view, graph.atoms
         schema = self.config.schema
         half_life = self.config.temporal_decay_half_life
         decay = 1.0
@@ -375,9 +379,9 @@ class PairScorer:
             # mutable Extra attributes (people move, change occupations).
             scored: list[tuple[float, float]] = []
             for attribute in names:
-                atomic = node.atomic.get(attribute)
-                if atomic is not None:
-                    scored.append((atomic.similarity, 1.0))
+                i = views[attribute][k]
+                if i >= 0:
+                    scored.append((atoms[attribute][i].similarity, 1.0))
                 elif a.get(attribute) is not None and b.get(attribute) is not None:
                     weight = (
                         decay if category is AttributeCategory.EXTRA else 1.0
@@ -399,59 +403,63 @@ class PairScorer:
             return 0.0
         return weighted_sum / weight_total
 
-    def disambiguation_similarity(self, node: RelationalNode) -> float:
+    def disambiguation_similarity(self, graph: DependencyGraph, k: int) -> float:
         """Equation (2), seeded per node by the graph build.
 
         ``s_d`` depends only on the two records and the frequency index,
         neither of which changes during a run, so a seeded value is never
         invalidated.
         """
-        entry = self._node_scores.get((node.rid_a, node.rid_b))
-        if entry is not None:
+        if self._s_d is not None:
             self._node_hits += 1
-            return entry[1]
+            return self._s_d[k]
         self._node_misses += 1
-        return self._disambiguation_similarity_uncached(node)
+        return self._disambiguation_similarity_uncached(graph, k)
 
-    def _disambiguation_similarity_uncached(self, node: RelationalNode) -> float:
+    def _disambiguation_similarity_uncached(
+        self, graph: DependencyGraph, k: int
+    ) -> float:
         """Equation (2): normalised IDF of the two records' name combos."""
-        a, b = self.dataset.record(node.rid_a), self.dataset.record(node.rid_b)
+        a, b = graph.records_of(k)
         n = max(2, self.frequencies.total_records)
         freq = self.frequencies.frequency(a) + self.frequencies.frequency(b)
         score = math.log2(n / freq) / math.log2(n)
         return min(1.0, max(0.0, score))
 
-    def combined_similarities(self, nodes: list[RelationalNode]) -> np.ndarray:
-        """:meth:`combined_similarity` of every node, as a float64 array.
+    def combined_similarities(
+        self, graph: DependencyGraph, nodes: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`combined_similarity` of the node ids ``nodes``, as a
+        float64 array.
 
-        Nodes with a seeded ``s_a`` are scored from the seed table in one
-        array expression, with the scalar method's operation order; the
-        rest (unseeded nodes, and undated ones under temporal decay) go
-        through :meth:`combined_similarity` itself.  The node-cache
-        counters move as the per-node calls would move them.
+        Nodes with a seeded ``s_a`` are scored from the seed columns in
+        one array expression, with the scalar method's operation order;
+        the rest (all of them when unseeded, and undated ones under
+        temporal decay) go through :meth:`combined_similarity` itself.
+        The node-cache counters move as the per-node calls would move
+        them.
         """
-        get = self._node_scores.get
-        unseeded = (None, None)
-        scores = np.array(
-            [get((node.rid_a, node.rid_b), unseeded) for node in nodes],
-            dtype=np.float64,
-        ).reshape(len(nodes), 2)  # a missing score reads as NaN
+        if self._s_a is None:
+            s_a = s_d = np.full(len(nodes), np.nan)
+        else:
+            s_a = np.asarray(self._s_a)[nodes]
+            s_d = np.asarray(self._s_d)[nodes]
         gamma = self.config.effective_gamma
         if gamma >= 1.0:
-            combined = scores[:, 0]
+            combined = s_a
         else:
-            combined = gamma * scores[:, 0] + (1.0 - gamma) * scores[:, 1]
-        rest = np.flatnonzero(np.isnan(scores[:, 0])).tolist()
+            combined = gamma * s_a + (1.0 - gamma) * s_d
+        rest = np.flatnonzero(np.isnan(s_a)).tolist()
         self._node_hits += (len(nodes) - len(rest)) * (1 if gamma >= 1.0 else 2)
-        for k in rest:
-            combined[k] = self.combined_similarity(nodes[k])
+        for j, k in zip(rest, nodes[rest].tolist()):
+            combined[j] = self.combined_similarity(graph, k)
         return combined
 
-    def combined_similarity(self, node: RelationalNode) -> float:
+    def combined_similarity(self, graph: DependencyGraph, k: int) -> float:
         """Equation (3): γ·s_a + (1-γ)·s_d (γ=1 when AMB is ablated)."""
         gamma = self.config.effective_gamma
-        s_a = self.atomic_similarity(node)
+        s_a = self.atomic_similarity(graph, k)
         if gamma >= 1.0:
             return s_a
-        s_d = self.disambiguation_similarity(node)
+        s_d = self.disambiguation_similarity(graph, k)
         return gamma * s_a + (1.0 - gamma) * s_d

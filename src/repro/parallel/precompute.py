@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from functools import partial
 
+import numpy as np
+
 from repro.blocking.base import block_pair_array
-from repro.blocking.candidates import CandidatePair
 from repro.core.config import SnapsConfig
 from repro.data.records import Dataset
 from repro.data.roles import Role
@@ -68,12 +69,12 @@ def parallel_candidate_pairs(
     roles: list[Role] | None = None,
     trace: Trace | None = None,
     metrics: MetricsRegistry | None = None,
-) -> list[CandidatePair]:
+) -> np.ndarray:
     """Blocking with vectorised signatures and chunked pair filtering.
 
-    Emits the same pairs, in the same order, with the same metric
+    Returns the same pairs, in the same order, with the same metric
     totals, as :func:`repro.blocking.candidates.generate_candidate_pairs`
-    over the same blocker stack.
+    over the same blocker stack, as one ``(n, 2)`` int64 array.
     """
     if roles is None:
         records = list(dataset)
@@ -98,13 +99,12 @@ def parallel_candidate_pairs(
     )
     tasks = make_tasks(raw_pairs, workers, payload["fingerprint"])
     results = runner.map(worker.filter_pairs_chunk, tasks, "filter")
-    pairs: list[CandidatePair] = []
     rejected: dict[str, int] = {}
     for result in results:
-        kept = result["kept"]
-        pairs.extend(map(CandidatePair, kept[:, 0].tolist(), kept[:, 1].tolist()))
         for name, count in result["rejected"].items():
             rejected[name] = rejected.get(name, 0) + count
+    kept = [result["kept"] for result in results]
+    pairs = np.concatenate(kept) if kept else np.empty((0, 2), dtype=np.int64)
     merge_counts(metrics, rejected, prefix="blocking.rejected_")
     if metrics is not None:
         metrics.inc("blocking.candidate_pairs", len(pairs))

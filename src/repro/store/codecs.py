@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.blocking.candidates import CandidatePair
+from repro.blocking.candidates import pair_array
 from repro.core.entities import EntityStore
 from repro.data.records import Dataset
 from repro.index.arrays import str_array
@@ -312,21 +312,19 @@ def load_clusters(path: Path) -> tuple[list[dict], dict]:
 # ----------------------------------------------------------------------
 
 
-def save_candidate_pairs(pairs: list[CandidatePair], path: Path) -> None:
-    """Serialise a candidate-pair list to ``.npz``, order-preserving.
+def save_candidate_pairs(pairs, path: Path) -> None:
+    """Serialise candidate pairs (anything ``pair_array`` takes) to
+    ``.npz`` as one ``(n, 2)`` int64 array, order-preserving.
 
     Order matters: the resumed run must feed the dependency graph the
     exact sequence the crashed run produced, or merge iteration order —
     and therefore entity ids — could drift.
     """
-    flat = np.asarray(
-        [[pair.rid_a, pair.rid_b] for pair in pairs], dtype=np.int64
-    ).reshape(-1, 2)
     with path.open("wb") as handle:
-        np.savez_compressed(handle, pairs=flat)
+        np.savez_compressed(handle, pairs=pair_array(pairs))
 
 
-def load_candidate_pairs(path: Path) -> list[CandidatePair]:
+def load_candidate_pairs(path: Path) -> np.ndarray:
     """Inverse of :func:`save_candidate_pairs`."""
     try:
         with np.load(path, allow_pickle=False) as data:
@@ -337,7 +335,7 @@ def load_candidate_pairs(path: Path) -> list[CandidatePair]:
         raise SnapshotIntegrityError(
             f"corrupt pairs payload {path}: {exc}"
         ) from None
-    return [CandidatePair(int(a), int(b)) for a, b in flat]
+    return pair_array(flat)
 
 
 def encode_entity_state(store: EntityStore) -> dict:

@@ -27,9 +27,11 @@ class TestUncertaintySampling:
         pairs = loop.uncertain_pairs(k=10)
         assert len(pairs) <= 10
         threshold = loop.config.merge_threshold
+        keys = result.graph.keys()
         for pair in pairs:
-            node = result.graph.nodes[pair]
-            similarity = loop._scorer.atomic_similarity(node)
+            similarity = loop._scorer.atomic_similarity(
+                result.graph, keys.index(pair)
+            )
             assert abs(similarity - threshold) < 0.15
 
     def test_sorted_by_informativeness(self, loop_ctx):
@@ -37,8 +39,12 @@ class TestUncertaintySampling:
         loop = ActiveLearningLoop(result)
         pairs = loop.uncertain_pairs(k=10)
         threshold = loop.config.merge_threshold
+        keys = result.graph.keys()
         distances = [
-            abs(loop._scorer.atomic_similarity(result.graph.nodes[p]) - threshold)
+            abs(
+                loop._scorer.atomic_similarity(result.graph, keys.index(p))
+                - threshold
+            )
             for p in pairs
         ]
         assert distances == sorted(distances)

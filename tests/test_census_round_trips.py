@@ -75,15 +75,15 @@ class TestDependencyGraphCensusGroups:
         pairs = list(generate_candidate_pairs(census_dataset, blocker))
         graph = build_dependency_graph(census_dataset, pairs, config)
         census_groups = [
-            group
-            for key, group in graph.groups.items()
-            if census_dataset.certificates[key[0]].cert_type
+            g
+            for g, (cert_a, cert_b) in enumerate(graph.group_keys.tolist())
+            if census_dataset.certificates[cert_a].cert_type
             is CertificateType.CENSUS
-            and census_dataset.certificates[key[1]].cert_type
+            and census_dataset.certificates[cert_b].cert_type
             is CertificateType.CENSUS
         ]
         assert census_groups, "census household pairs should form groups"
-        assert any(group.edges for group in census_groups), (
+        assert any(graph.group_edges(g) for g in census_groups), (
             "household co-membership should create relationship edges"
         )
 

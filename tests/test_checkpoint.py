@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 import shutil
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.blocking.candidates import CandidatePair
@@ -165,7 +167,18 @@ class TestPhasePayloads:
     def test_pairs_round_trip(self, checkpoint):
         pairs = [CandidatePair(1, 2), CandidatePair(2, 5), CandidatePair(3, 6)]
         checkpoint.save_pairs(pairs)
-        assert checkpoint.load_pairs() == pairs
+        loaded = checkpoint.load_pairs()
+        assert loaded.dtype == np.int64
+        assert loaded.tolist() == [[1, 2], [2, 5], [3, 6]]
+
+    def test_pair_array_round_trip(self, checkpoint):
+        pairs = np.array([[4, 9], [1, 2], [3, 6]], dtype=np.int64)
+        checkpoint.save_pairs(pairs)
+        assert np.array_equal(checkpoint.load_pairs(), pairs)
+        with np.load(checkpoint.directory / "phases" / "blocking.npz") as data:
+            assert list(data) == ["pairs"]
+            assert data["pairs"].dtype == np.int64
+            assert data["pairs"].shape == (3, 2)
 
     def test_state_round_trip_with_stats(self, dataset, checkpoint):
         store = EntityStore(dataset)
@@ -223,3 +236,29 @@ class TestCompletedPrefix:
         # derived from it — must not be trusted either.
         assert checkpoint.completed_prefix() == ("blocking",)
         assert checkpoint.is_complete("merging")
+
+
+class TestEarlierCheckpoint:
+    """``data/checkpoint_pair_list`` was written by the resolver when it
+    still carried candidate pairs as a list of ``CandidatePair`` objects:
+    the tiny dataset, stopped right after the blocking phase committed.
+    The ``blocking.npz`` format is unchanged, so it resumes to the bytes
+    of an uninterrupted run."""
+
+    SOURCE = Path(__file__).parent / "data" / "checkpoint_pair_list"
+
+    def test_resume_matches_uninterrupted_run(self, tmp_path):
+        from repro.cli import main
+
+        ckdir = tmp_path / "ck"
+        shutil.copytree(self.SOURCE, ckdir)
+        checkpoint, _, _ = ResolveCheckpointer.resume(ckdir)
+        assert checkpoint.completed_prefix() == ("blocking",)
+        pairs = checkpoint.load_pairs()
+        assert pairs.dtype == np.int64 and pairs.shape[1] == 2 and len(pairs)
+        resumed, fresh = tmp_path / "resumed.json", tmp_path / "fresh.json"
+        assert main(["resolve", "--resume", str(ckdir), "--out", str(resumed)]) == 0
+        assert main(
+            ["resolve", "--data", str(self.SOURCE / "dataset"), "--out", str(fresh)]
+        ) == 0
+        assert resumed.read_bytes() == fresh.read_bytes()

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.core.config import SnapsConfig
-from repro.core.dependency_graph import AtomicNode, RelationalNode
+from repro.core.dependency_graph import AtomicNode, build_dependency_graph
 from repro.core.entities import EntityStore
 from repro.core.scoring import NameFrequencyIndex, PairScorer
 from repro.data.records import Certificate, Dataset, Record
@@ -35,6 +35,17 @@ def _make_dataset():
         for i in range(1, 8)
     ]
     return Dataset("score", records, certs)
+
+
+def hand_node(dataset, rid_a, rid_b, *atoms):
+    """A graph of the one pair ``(rid_a, rid_b)`` whose node 0 carries
+    exactly the atomic nodes ``atoms``."""
+    graph = build_dependency_graph(dataset, [(rid_a, rid_b)], SnapsConfig())
+    for attribute in graph.atom_ids:
+        graph.set_atomic(0, attribute, None)
+    for atomic in atoms:
+        graph.set_atomic(0, atomic.attribute, atomic)
+    return graph
 
 
 @pytest.fixture()
@@ -77,87 +88,109 @@ class TestAtomicSimilarity:
         dataset = _make_dataset()
         config = SnapsConfig()
         scorer = PairScorer(dataset, config)
-        node = RelationalNode(1, 2, (1, 2))
-        node.atomic["first_name"] = AtomicNode("first_name", "mary", "mary", 1.0)
-        node.atomic["surname"] = AtomicNode("surname", "tayler", "taylor", 0.9)
-        node.atomic["parish"] = AtomicNode("parish", "klmor", "kilmore", 0.9)
-        assert scorer.atomic_similarity(node) == pytest.approx(0.95)
+        graph = hand_node(
+            dataset,
+            1,
+            2,
+            AtomicNode("first_name", "mary", "mary", 1.0),
+            AtomicNode("surname", "tayler", "taylor", 0.9),
+            AtomicNode("parish", "klmor", "kilmore", 0.9),
+        )
+        assert scorer.atomic_similarity(graph, 0) == pytest.approx(0.95)
 
     def test_missing_category_renormalises(self, scorer_ctx):
         dataset, _, scorer = scorer_ctx
         # Records 4,5 have no parish → Extra category excluded entirely.
-        node = RelationalNode(4, 5, (4, 5))
-        node.atomic["first_name"] = AtomicNode("first_name", "flora", "flora", 1.0)
-        node.atomic["surname"] = AtomicNode("surname", "rare", "rare", 1.0)
-        assert scorer.atomic_similarity(node) == pytest.approx(1.0)
+        graph = hand_node(
+            dataset,
+            4,
+            5,
+            AtomicNode("first_name", "flora", "flora", 1.0),
+            AtomicNode("surname", "rare", "rare", 1.0),
+        )
+        assert scorer.atomic_similarity(graph, 0) == pytest.approx(1.0)
 
     def test_present_but_dissimilar_counts_zero(self, scorer_ctx):
         dataset, _, scorer = scorer_ctx
         # Records 1,2 both have parishes; without a parish atomic node the
         # Extra category contributes 0.
-        node = RelationalNode(1, 2, (1, 2))
-        node.atomic["first_name"] = AtomicNode("first_name", "mary", "mary", 1.0)
-        node.atomic["surname"] = AtomicNode("surname", "tayler", "taylor", 0.95)
+        graph = hand_node(
+            dataset,
+            1,
+            2,
+            AtomicNode("first_name", "mary", "mary", 1.0),
+            AtomicNode("surname", "tayler", "taylor", 0.95),
+        )
         expected = (0.5 * 1.0 + 0.3 * 0.95 + 0.2 * 0.0) / 1.0
-        assert scorer.atomic_similarity(node) == pytest.approx(expected)
+        assert scorer.atomic_similarity(graph, 0) == pytest.approx(expected)
 
     def test_no_atomic_nodes_scores_zero(self, scorer_ctx):
-        _, _, scorer = scorer_ctx
-        node = RelationalNode(1, 2, (1, 2))
-        assert scorer.atomic_similarity(node) == 0.0
+        dataset, _, scorer = scorer_ctx
+        graph = hand_node(dataset, 1, 2)
+        assert scorer.atomic_similarity(graph, 0) == 0.0
 
     def test_has_must_evidence(self, scorer_ctx):
-        _, _, scorer = scorer_ctx
-        node = RelationalNode(1, 2, (1, 2))
-        assert not scorer.has_must_evidence(node)
-        node.atomic["surname"] = AtomicNode("surname", "a", "a", 1.0)
-        assert not scorer.has_must_evidence(node)
-        node.atomic["first_name"] = AtomicNode("first_name", "m", "m", 1.0)
-        assert scorer.has_must_evidence(node)
+        dataset, _, scorer = scorer_ctx
+        graph = hand_node(dataset, 1, 2)
+        assert not scorer.has_must_evidence(graph, 0)
+        graph.set_atomic(0, "surname", AtomicNode("surname", "a", "a", 1.0))
+        assert not scorer.has_must_evidence(graph, 0)
+        graph.set_atomic(0, "first_name", AtomicNode("first_name", "m", "m", 1.0))
+        assert scorer.has_must_evidence(graph, 0)
 
 
 class TestDisambiguationSimilarity:
     def test_equation_two(self, scorer_ctx):
         dataset, _, scorer = scorer_ctx
-        node = RelationalNode(4, 5, (4, 5))  # flora rare: f=2 each
+        graph = hand_node(dataset, 4, 5)  # flora rare: f=2 each
         n = len(dataset)
         expected = math.log2(n / 4) / math.log2(n)
-        assert scorer.disambiguation_similarity(node) == pytest.approx(expected)
+        assert scorer.disambiguation_similarity(graph, 0) == pytest.approx(expected)
 
     def test_rare_names_score_higher_than_common(self, scorer_ctx):
         dataset, _, scorer = scorer_ctx
-        rare = RelationalNode(4, 5, (4, 5))
-        common = RelationalNode(2, 6, (2, 6))  # mary taylor ×2 both sides
+        rare = hand_node(dataset, 4, 5)
+        common = hand_node(dataset, 2, 6)  # mary taylor ×2 both sides
         assert scorer.disambiguation_similarity(
-            rare
-        ) > scorer.disambiguation_similarity(common)
+            rare, 0
+        ) > scorer.disambiguation_similarity(common, 0)
 
     def test_bounded(self, scorer_ctx):
-        _, _, scorer = scorer_ctx
+        dataset, _, scorer = scorer_ctx
         for pair in ((1, 2), (2, 6), (4, 5)):
-            node = RelationalNode(pair[0], pair[1], pair)
-            assert 0.0 <= scorer.disambiguation_similarity(node) <= 1.0
+            graph = hand_node(dataset, *pair)
+            assert 0.0 <= scorer.disambiguation_similarity(graph, 0) <= 1.0
 
 
 class TestCombinedSimilarity:
     def test_gamma_mixing(self, scorer_ctx):
         dataset, config, scorer = scorer_ctx
-        node = RelationalNode(4, 5, (4, 5))
-        node.atomic["first_name"] = AtomicNode("first_name", "flora", "flora", 1.0)
-        node.atomic["surname"] = AtomicNode("surname", "rare", "rare", 1.0)
-        s_a = scorer.atomic_similarity(node)
-        s_d = scorer.disambiguation_similarity(node)
+        graph = hand_node(
+            dataset,
+            4,
+            5,
+            AtomicNode("first_name", "flora", "flora", 1.0),
+            AtomicNode("surname", "rare", "rare", 1.0),
+        )
+        s_a = scorer.atomic_similarity(graph, 0)
+        s_d = scorer.disambiguation_similarity(graph, 0)
         expected = config.gamma * s_a + (1 - config.gamma) * s_d
-        assert scorer.combined_similarity(node) == pytest.approx(expected)
+        assert scorer.combined_similarity(graph, 0) == pytest.approx(expected)
 
     def test_amb_disabled_is_pure_atomic(self):
         dataset = _make_dataset()
         config = SnapsConfig(use_ambiguity=False)
         scorer = PairScorer(dataset, config)
-        node = RelationalNode(4, 5, (4, 5))
-        node.atomic["first_name"] = AtomicNode("first_name", "flora", "flora", 1.0)
-        node.atomic["surname"] = AtomicNode("surname", "rare", "rare", 1.0)
-        assert scorer.combined_similarity(node) == scorer.atomic_similarity(node)
+        graph = hand_node(
+            dataset,
+            4,
+            5,
+            AtomicNode("first_name", "flora", "flora", 1.0),
+            AtomicNode("surname", "rare", "rare", 1.0),
+        )
+        assert scorer.combined_similarity(graph, 0) == scorer.atomic_similarity(
+            graph, 0
+        )
 
 
 class TestPropagation:
@@ -168,15 +201,13 @@ class TestPropagation:
         config = SnapsConfig()
         scorer = PairScorer(dataset, config)
         store = EntityStore(dataset)
-        from repro.core.dependency_graph import DependencyGraph
-
-        graph = DependencyGraph(dataset)
         # Entity {1, 3}: surnames {tayler, smith}.
         store.merge(1, 3)
-        node = RelationalNode(3, 2, (2, 3))
-        node.atomic["surname"] = AtomicNode("surname", "smith", "taylor", 0.0)
-        scorer.propagate_values(graph, node, store)
-        assert node.atomic["surname"].key()[1:] == ("tayler", "taylor")
+        graph = hand_node(
+            dataset, 2, 3, AtomicNode("surname", "smith", "taylor", 0.0)
+        )
+        scorer.propagate_values(graph, 0, store)
+        assert graph.atomic(0)["surname"].key()[1:] == ("tayler", "taylor")
 
     def test_prop_a_registers_atomic_nodes_in_every_graph(self):
         """PROP-A registers a memo entry's atomic nodes once, when the
@@ -185,12 +216,11 @@ class TestPropagation:
         dataset = _make_dataset()
         scorer = PairScorer(dataset, SnapsConfig())
         store = EntityStore(dataset)
-        from repro.core.dependency_graph import DependencyGraph
-
         store.merge(1, 3)
-        graphs = [DependencyGraph(dataset), DependencyGraph(dataset)]
+        graphs = [hand_node(dataset, 2, 3), hand_node(dataset, 2, 3)]
         for graph in graphs:
-            scorer.propagate_values(graph, RelationalNode(3, 2, (2, 3)), store)
+            graph._atomic_registry.clear()
+            scorer.propagate_values(graph, 0, store)
         assert graphs[0].n_atomic == graphs[1].n_atomic > 0
 
     def test_prop_a_removes_below_threshold(self):
@@ -198,13 +228,10 @@ class TestPropagation:
         config = SnapsConfig()
         scorer = PairScorer(dataset, config)
         store = EntityStore(dataset)
-        from repro.core.dependency_graph import DependencyGraph
-
-        graph = DependencyGraph(dataset)
-        node = RelationalNode(3, 4, (3, 4))  # mary smith vs flora rare
-        node.atomic["surname"] = AtomicNode("surname", "smith", "rare", 0.95)
-        scorer.propagate_values(graph, node, store)
-        assert "surname" not in node.atomic
+        # mary smith vs flora rare
+        graph = hand_node(dataset, 3, 4, AtomicNode("surname", "smith", "rare", 0.95))
+        scorer.propagate_values(graph, 0, store)
+        assert "surname" not in graph.atomic(0)
 
     def test_value_similarity_cached(self, scorer_ctx):
         _, _, scorer = scorer_ctx

@@ -4,7 +4,7 @@ address comparison."""
 import pytest
 
 from repro.core.config import SnapsConfig
-from repro.core.dependency_graph import AtomicNode, RelationalNode
+from repro.core.dependency_graph import AtomicNode, build_dependency_graph
 from repro.core.scoring import PairScorer
 from repro.data.records import Certificate, Dataset, Record
 from repro.data.roles import CertificateType, Role
@@ -26,52 +26,63 @@ def _two_mothers(year_b: int, address_b: str = "9 glen road uig"):
     return Dataset("decay", records, certs)
 
 
-def _node_with_names():
-    node = RelationalNode(1, 2, (1, 2))
-    node.atomic["first_name"] = AtomicNode("first_name", "mary", "mary", 1.0)
-    node.atomic["surname"] = AtomicNode("surname", "ross", "ross", 1.0)
-    return node
+def _node(dataset, *atoms):
+    """A graph of the pair (1, 2) whose node 0 carries exactly ``atoms``."""
+    graph = build_dependency_graph(dataset, [(1, 2)], SnapsConfig())
+    for attribute in graph.atom_ids:
+        graph.set_atomic(0, attribute, None)
+    for atomic in atoms:
+        graph.set_atomic(0, atomic.attribute, atomic)
+    return graph
+
+
+def _node_with_names(dataset, *atoms):
+    return _node(
+        dataset,
+        AtomicNode("first_name", "mary", "mary", 1.0),
+        AtomicNode("surname", "ross", "ross", 1.0),
+        *atoms,
+    )
 
 
 class TestTemporalDecay:
     def test_decay_softens_old_address_disagreement(self):
         dataset = _two_mothers(1890)  # 20-year gap, address changed
-        node = _node_with_names()
-        plain = PairScorer(dataset, SnapsConfig()).atomic_similarity(node)
+        graph = _node_with_names(dataset)
+        plain = PairScorer(dataset, SnapsConfig()).atomic_similarity(graph, 0)
         decayed = PairScorer(
             dataset, SnapsConfig(temporal_decay_half_life=10.0)
-        ).atomic_similarity(node)
+        ).atomic_similarity(graph, 0)
         assert decayed > plain
 
     def test_no_decay_for_small_gap(self):
         dataset = _two_mothers(1871)  # 1-year gap
-        node = _node_with_names()
-        plain = PairScorer(dataset, SnapsConfig()).atomic_similarity(node)
+        graph = _node_with_names(dataset)
+        plain = PairScorer(dataset, SnapsConfig()).atomic_similarity(graph, 0)
         decayed = PairScorer(
             dataset, SnapsConfig(temporal_decay_half_life=10.0)
-        ).atomic_similarity(node)
+        ).atomic_similarity(graph, 0)
         assert decayed == pytest.approx(plain, abs=0.02)
 
     def test_must_attributes_never_decay(self):
         # Disagreeing first names stay fatal regardless of gap.
         dataset = _two_mothers(1890)
         dataset.record(2).attributes["first_name"] = "flora"
-        node = RelationalNode(1, 2, (1, 2))
-        node.atomic["surname"] = AtomicNode("surname", "ross", "ross", 1.0)
+        graph = _node(dataset, AtomicNode("surname", "ross", "ross", 1.0))
         scorer = PairScorer(dataset, SnapsConfig(temporal_decay_half_life=5.0))
         # Must category contributes 0 with full weight.
-        assert scorer.atomic_similarity(node) < 0.6
+        assert scorer.atomic_similarity(graph, 0) < 0.6
 
     def test_matched_extra_attribute_unaffected(self):
         dataset = _two_mothers(1890, address_b="5 high street uig")
-        node = _node_with_names()
-        node.atomic["address"] = AtomicNode(
-            "address", "5 high street uig", "5 high street uig", 1.0
+        graph = _node_with_names(
+            dataset,
+            AtomicNode("address", "5 high street uig", "5 high street uig", 1.0),
         )
-        plain = PairScorer(dataset, SnapsConfig()).atomic_similarity(node)
+        plain = PairScorer(dataset, SnapsConfig()).atomic_similarity(graph, 0)
         decayed = PairScorer(
             dataset, SnapsConfig(temporal_decay_half_life=10.0)
-        ).atomic_similarity(node)
+        ).atomic_similarity(graph, 0)
         assert decayed == pytest.approx(plain)
 
     def test_invalid_half_life(self):

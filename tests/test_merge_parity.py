@@ -1,16 +1,19 @@
 """Parity of the iterative merge loop with its straightforward form.
 
-``iterative_merge`` computes each group's alive nodes once, ranks the
-groups with one array pass over the scorer's seeded scores, runs a
+``iterative_merge`` collects every group's alive node ids in one numpy
+pass over the graph's ``merged`` column and CSR groups, ranks the groups
+with one array pass over the scorer's seeded score columns, runs a
 one-node group straight through instead of through the REL loop, looks
-the pair-validity seed and each record's entity up once per
-``can_merge``, registers PROP-A's atomic nodes once per memo entry, and
-reads category attribute names precomputed by the scorer.  The oracle
-below is the loop as it read before those shortcuts (group priorities as
-``sorted`` tuples of per-node ``combined_similarity`` means, every group
-through the REL loop, ``can_merge`` repeating lookups and counting each
-rejection into the registry, PROP-A registering on every application).
-Both run on identically prepared states, seeded as in
+the singleton verdict and each record's entity up once per
+``can_merge``, registers PROP-A's atomic nodes once per memo entry and
+re-points nodes by atom id, and reads category attribute names
+precomputed by the scorer.  The oracle below is the loop without those
+shortcuts (each group's alive nodes read node by node when it is
+reached, group priorities as ``sorted`` tuples of per-node
+``combined_similarity`` means, every group through the REL loop,
+``can_merge`` repeating lookups and counting each rejection into the
+registry, PROP-A comparing and registering atomic nodes on every
+application).  Both run on identically prepared states, seeded as in
 ``SnapsResolver.resolve`` and unseeded as in
 ``ActiveLearningLoop.remerge``, under the default configuration, with
 REL, PROP and AMB ablated, and with a two-Must schema; crafted states add
@@ -21,6 +24,7 @@ merged flag, |N_A|, and the constraint, scoring and merging telemetry.
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
@@ -28,11 +32,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.blocking.candidates import CandidatePair
 from repro.core.bootstrap import bootstrap_merge
 from repro.core.config import SnapsConfig
 from repro.core.constraints import ConstraintChecker
-from repro.core.dependency_graph import AtomicNode, build_graph_and_seeds
+from repro.core.dependency_graph import (
+    AtomicNode,
+    build_dependency_graph,
+    build_graph_and_seeds,
+)
 from repro.core.entities import EntityStore
 from repro.core.merging import _group_means, iterative_merge
 from repro.core.resolver import SnapsResolver
@@ -46,12 +53,11 @@ from repro.obs.metrics import SIMILARITY_BUCKETS, MetricsRegistry
 # ----------------------------------------------------------------------
 
 
-def oracle_can_merge(checker, store, a, b) -> bool:
-    if checker._pair_validity is not None:
+def oracle_can_merge(checker, store, a, b, k) -> bool:
+    if checker._verdict is not None:
         rid_a, rid_b = a.record_id, b.record_id
-        key = (rid_a, rid_b) if rid_a < rid_b else (rid_b, rid_a)
-        level = checker._pair_validity.get(key)
-        if level is not None and (
+        level = checker._verdict[k]
+        if level >= 0 and (
             level == 1
             or (
                 len(store.entity_of(rid_a).record_ids) == 1
@@ -82,14 +88,14 @@ def oracle_can_merge(checker, store, a, b) -> bool:
     return True
 
 
-def oracle_propagate_values(scorer, graph, node, store) -> None:
-    entity_a = store.entity_of(node.rid_a)
-    entity_b = store.entity_of(node.rid_b)
-    key = (node.rid_a, node.rid_b)
+def oracle_propagate_values(scorer, graph, k, store) -> None:
+    rid_a, rid_b = graph.key(k)
+    entity_a = store.entity_of(rid_a)
+    entity_b = store.entity_of(rid_b)
     if (
         len(entity_a.record_ids) == 1
         and len(entity_b.record_ids) == 1
-        and key in scorer._node_scores
+        and scorer._s_d is not None
     ):
         return
     state = (
@@ -108,27 +114,26 @@ def oracle_propagate_values(scorer, graph, node, store) -> None:
         scorer._propagate_hits += 1
     changed = False
     for attribute, best in memo.items():
+        atomic = graph.atomic(k)
         if best is not None:
-            if node.atomic.get(attribute) != best:
+            if atomic.get(attribute) != best:
                 changed = True
-            node.atomic[attribute] = best
+            graph.set_atomic(k, attribute, best)
             graph.register_atomic(best)
-        elif attribute in node.atomic:
-            del node.atomic[attribute]
+        elif attribute in atomic:
+            graph.set_atomic(k, attribute, None)
             changed = True
-    if changed:
-        entry = scorer._node_scores.get(key)
-        if entry is not None:
-            entry[0] = None
+    if changed and scorer._s_a is not None:
+        scorer._s_a[k] = math.nan
 
 
-def oracle_must_values_disagree(graph, node, config) -> bool:
-    a, b = graph.records_of(node)
+def oracle_must_values_disagree(graph, k, config) -> bool:
+    a, b = graph.records_of(k)
     for attribute in config.schema.names_in(AttributeCategory.MUST):
         value_a, value_b = a.get(attribute), b.get(attribute)
         if value_a is None or value_b is None:
             continue
-        if attribute in node.atomic:
+        if attribute in graph.atomic(k):
             continue
         return True
     return False
@@ -140,14 +145,14 @@ def oracle_process_group(nodes, graph, store, scorer, checker, config, metrics):
     while nodes:
         valid = []
         invalid = []
-        for node in nodes:
-            a, b = graph.records_of(node)
-            if oracle_can_merge(checker, store, a, b) or store.same_entity(
-                node.rid_a, node.rid_b
+        for k in nodes:
+            a, b = graph.records_of(k)
+            if oracle_can_merge(checker, store, a, b, k) or store.same_entity(
+                *graph.key(k)
             ):
-                valid.append(node)
+                valid.append(k)
             else:
-                invalid.append(node)
+                invalid.append(k)
         if invalid:
             if not use_rel:
                 return 0
@@ -156,23 +161,23 @@ def oracle_process_group(nodes, graph, store, scorer, checker, config, metrics):
         if not valid:
             return 0
         if config.use_propagation:
-            for node in valid:
-                oracle_propagate_values(scorer, graph, node, store)
-        unsupported = [n for n in valid if not scorer.has_must_evidence(n)]
+            for k in valid:
+                oracle_propagate_values(scorer, graph, k, store)
+        unsupported = [k for k in valid if not scorer.has_must_evidence(graph, k)]
         if unsupported and use_rel:
             disagreements += sum(
-                1 for n in unsupported if oracle_must_values_disagree(graph, n, config)
+                1 for k in unsupported if oracle_must_values_disagree(graph, k, config)
             )
-            nodes = [n for n in valid if scorer.has_must_evidence(n)]
+            nodes = [k for k in valid if scorer.has_must_evidence(graph, k)]
             continue
-        atomic = [scorer.atomic_similarity(n) for n in valid]
+        atomic = [scorer.atomic_similarity(graph, k) for k in valid]
         if use_rel and len(valid) > 1 and min(atomic) < config.node_floor:
-            kept = [n for n, s in zip(valid, atomic) if s >= config.node_floor]
+            kept = [k for k, s in zip(valid, atomic) if s >= config.node_floor]
             disagreements += sum(
                 1
-                for n, s in zip(valid, atomic)
+                for k, s in zip(valid, atomic)
                 if s < config.node_floor
-                and oracle_must_values_disagree(graph, n, config)
+                and oracle_must_values_disagree(graph, k, config)
             )
             nodes = kept
             continue
@@ -181,25 +186,25 @@ def oracle_process_group(nodes, graph, store, scorer, checker, config, metrics):
         if len(valid) >= 2:
             mean_gate = sum(atomic) / len(atomic)
         elif config.gate_on_combined:
-            mean_gate = scorer.combined_similarity(valid[0])
+            mean_gate = scorer.combined_similarity(graph, valid[0])
         else:
             mean_gate = atomic[0]
         if metrics is not None:
             metrics.observe("similarity.merge_gate", mean_gate, SIMILARITY_BUCKETS)
         if mean_gate >= config.merge_threshold:
             merged = 0
-            for node in valid:
-                a, b = graph.records_of(node)
-                if store.same_entity(node.rid_a, node.rid_b) or oracle_can_merge(
-                    checker, store, a, b
+            for k in valid:
+                a, b = graph.records_of(k)
+                if store.same_entity(*graph.key(k)) or oracle_can_merge(
+                    checker, store, a, b, k
                 ):
-                    store.merge(node.rid_a, node.rid_b)
-                    node.merged = True
+                    store.merge(*graph.key(k))
+                    graph.merged[k] = True
                     merged += 1
             return merged
         if not use_rel or len(valid) == 1:
             return 0
-        combined = [scorer.combined_similarity(n) for n in valid]
+        combined = [scorer.combined_similarity(graph, k) for k in valid]
         weakest = min(range(len(valid)), key=lambda i: combined[i])
         if oracle_must_values_disagree(graph, valid[weakest], config):
             disagreements += 1
@@ -209,6 +214,11 @@ def oracle_process_group(nodes, graph, store, scorer, checker, config, metrics):
     return 0
 
 
+def alive_nodes(graph, g) -> list[int]:
+    """Group ``g``'s unmerged node ids, read one node at a time."""
+    return [k for k in graph.group_members(g).tolist() if not graph.merged[k]]
+
+
 def oracle_bootstrap_merge(graph, store, scorer, checker, config, metrics=None):
     histogram = None
     if metrics is not None:
@@ -216,23 +226,25 @@ def oracle_bootstrap_merge(graph, store, scorer, checker, config, metrics=None):
             "similarity.bootstrap_group_mean", SIMILARITY_BUCKETS
         )
     merged_nodes = 0
-    for group in graph.groups.values():
-        nodes = graph.alive_group_nodes(group)
+    for g in range(graph.n_groups):
+        nodes = alive_nodes(graph, g)
         if len(nodes) < 2:
             continue
-        mean_atomic = sum(scorer.atomic_similarity(n) for n in nodes) / len(nodes)
+        mean_atomic = sum(scorer.atomic_similarity(graph, k) for k in nodes) / len(
+            nodes
+        )
         if histogram is not None:
             histogram.observe(mean_atomic)
         if mean_atomic < config.bootstrap_threshold:
             continue
-        records = [graph.records_of(node) for node in nodes]
+        records = [graph.records_of(k) for k in nodes]
         if not all(checker.records_compatible(a, b) for a, b in records):
             continue
-        for node, (a, b) in zip(nodes, records):
-            if not oracle_can_merge(checker, store, a, b):
+        for k, (a, b) in zip(nodes, records):
+            if not oracle_can_merge(checker, store, a, b, k):
                 continue
-            store.merge(node.rid_a, node.rid_b)
-            node.merged = True
+            store.merge(*graph.key(k))
+            graph.merged[k] = True
             merged_nodes += 1
     if metrics is not None:
         metrics.inc("bootstrap.nodes_merged", merged_nodes)
@@ -240,19 +252,19 @@ def oracle_bootstrap_merge(graph, store, scorer, checker, config, metrics=None):
 
 
 def oracle_iterative_merge(graph, store, scorer, checker, config, metrics=None):
-    groups = list(graph.groups.values())
+    groups = list(range(graph.n_groups))
 
-    def priority(group):
-        nodes = graph.alive_group_nodes(group)
+    def priority(g):
+        nodes = alive_nodes(graph, g)
         if not nodes:
             return (0, 0.0)
-        mean = sum(scorer.combined_similarity(n) for n in nodes) / len(nodes)
+        mean = sum(scorer.combined_similarity(graph, k) for k in nodes) / len(nodes)
         return (len(nodes), mean)
 
     groups.sort(key=priority, reverse=True)
     merged_count = 0
-    for group in groups:
-        nodes = graph.alive_group_nodes(group)
+    for g in groups:
+        nodes = alive_nodes(graph, g)
         if not nodes:
             continue
         merged = oracle_process_group(
@@ -317,15 +329,15 @@ def pairs(dataset):
     for cert in list(dataset.certificates.values())[:40]:
         members = sorted(cert.member_record_ids())
         if len(members) >= 2:
-            same_cert.append(CandidatePair(members[0], members[1]))
+            same_cert.append(members[:2])
     return {
-        name: SnapsResolver(config).block(dataset) + same_cert
+        name: np.concatenate((SnapsResolver(config).block(dataset).array, same_cert))
         for name, config in CONFIGS.items()
     }
 
 
 def _quarter(score):
-    return None if score is None else round(score * 4) / 4
+    return round(score * 4) / 4
 
 
 def _premerge(graph, store, every) -> None:
@@ -334,19 +346,15 @@ def _premerge(graph, store, every) -> None:
     one such group, then only the first in the next, and so on (a
     two-node group is then left with one)."""
     if every == "all":
-        groups, step = list(graph.groups.values()), 1
+        groups, step = list(range(graph.n_groups)), 1
     else:
-        groups = [
-            group
-            for group in graph.groups.values()
-            if len(graph.alive_group_nodes(group)) >= 2
-        ]
+        groups = [g for g in range(graph.n_groups) if len(alive_nodes(graph, g)) >= 2]
         step = every
-    for i, group in enumerate(groups[::step]):
-        nodes = graph.alive_group_nodes(group)
-        for node in nodes if every == "all" or i % 2 == 0 else nodes[:1]:
-            store.merge(node.rid_a, node.rid_b)
-            node.merged = True
+    for i, g in enumerate(groups[::step]):
+        nodes = alive_nodes(graph, g)
+        for k in nodes if every == "all" or i % 2 == 0 else nodes[:1]:
+            store.merge(*graph.key(k))
+            graph.merged[k] = True
 
 
 #: The bootstrap and merge steps under test, and their oracles.
@@ -374,20 +382,21 @@ def _run(dataset, pairs, config, seeding, steps, premerge=None):
         config.temporal_slack_years, config.use_propagation, metrics
     )
     if seeding != "unseeded":
-        validity = seeds.pair_validity
+        verdict = seeds.verdict
         if seeding == "level2":
-            validity = {
-                key: 2 if level == 0 and i % 3 == 0 else level
-                for i, (key, level) in enumerate(validity.items())
-            }
-        node_scores = seeds.node_scores
+            # Every third seeded verdict, counted in node order.
+            seeded = np.flatnonzero(verdict >= 0)
+            turned = seeded[::3][verdict[seeded[::3]] == 0]
+            verdict = verdict.copy()
+            verdict[turned] = 2
+        s_a, s_d = seeds.s_a, seeds.s_d
         if seeding == "ties":
-            node_scores = {
-                key: [None if i % 5 == 0 else _quarter(s_a), _quarter(s_d)]
-                for i, (key, (s_a, s_d)) in enumerate(node_scores.items())
-            }
-        scorer.seed_caches(seeds.sim_table, node_scores)
-        checker.seed_pair_validity(validity)
+            s_a = np.array(
+                [math.nan if i % 5 == 0 else _quarter(x) for i, x in enumerate(s_a)]
+            )
+            s_d = np.array([_quarter(x) for x in s_d])
+        scorer.seed_caches(seeds.sim_table, s_a, s_d)
+        checker.seed_verdicts(verdict)
     bootstrap(graph, store, scorer, checker, config, metrics)
     if premerge:
         _premerge(graph, store, premerge)
@@ -401,13 +410,13 @@ def _run(dataset, pairs, config, seeding, steps, premerge=None):
     # records the checker itself would keep apart (an expert may link
     # what the constraints reject).
     forced = [
-        node
-        for node in graph
-        if not node.merged
-        and not checker.records_compatible(*graph.records_of(node))
+        k
+        for k in range(graph.n_relational)
+        if not graph.merged[k]
+        and not checker.records_compatible(*graph.records_of(k), k)
     ]
-    for node in forced[:5]:
-        store.merge(node.rid_a, node.rid_b)
+    for k in forced[:5]:
+        store.merge(*graph.key(k))
     metrics = MetricsRegistry()
     scorer = PairScorer(dataset, config, registry, frequencies)
     checker = ConstraintChecker(
@@ -425,10 +434,10 @@ def _observe(graph, store, metrics, merged) -> dict:
     return {
         "merged": merged,
         "store": store.state(),
-        "nodes": {
-            key: (list(node.atomic.items()), node.merged)
-            for key, node in graph.nodes.items()
-        },
+        "nodes": [
+            (graph.key(k), list(graph.atomic(k).items()), bool(graph.merged[k]))
+            for k in range(graph.n_relational)
+        ],
         "n_atomic": graph.n_atomic,
         "counters": snapshot["counters"],
         "gauges": snapshot["gauges"],
@@ -550,9 +559,9 @@ def test_value_tables_match_store(dataset, pairs):
     """One PROP-A value table per entity state holds what
     ``EntityStore.values_of`` gives for every attribute."""
     config = CONFIGS["two-must"]
-    _, seeds = build_graph_and_seeds(dataset, pairs["default"], config)
+    graph = build_dependency_graph(dataset, pairs["default"], config)
     store = EntityStore(dataset)
-    for rid_a, rid_b in list(seeds.node_scores)[::7]:
+    for rid_a, rid_b in graph.keys()[::7]:
         store.merge(rid_a, rid_b)
     scorer = PairScorer(dataset, config)
     entities = list(store.entities())
@@ -575,16 +584,14 @@ def test_queue_ties_occur(dataset, pairs):
     scorer = PairScorer(dataset, config)
     scorer.seed_caches(
         seeds.sim_table,
-        {key: [_quarter(a), _quarter(d)] for key, (a, d) in seeds.node_scores.items()},
+        np.array([_quarter(a) for a in seeds.s_a]),
+        np.array([_quarter(d) for d in seeds.s_d]),
     )
-    priorities = [
-        (
-            len(group.node_keys),
-            sum(scorer.combined_similarity(graph.nodes[k]) for k in group.node_keys)
-            / len(group.node_keys),
-        )
-        for group in graph.groups.values()
-    ]
+    priorities = []
+    for g in range(graph.n_groups):
+        members = graph.group_members(g).tolist()
+        mean = sum(scorer.combined_similarity(graph, k) for k in members)
+        priorities.append((len(members), mean / len(members)))
     repeated = {p for p in priorities if priorities.count(p) > 1}
     assert any(size == 1 for size, _ in repeated)
     assert any(size > 1 for size, _ in repeated)

@@ -4,7 +4,7 @@ interaction of REF with the entity store after merging."""
 import pytest
 
 from repro.core.config import SnapsConfig
-from repro.core.dependency_graph import AtomicNode, DependencyGraph, RelationalNode
+from repro.core.dependency_graph import AtomicNode, build_dependency_graph
 from repro.core.merging import _must_values_disagree
 from repro.core.scoring import PairScorer
 from repro.data.records import Certificate, Dataset, Record
@@ -26,7 +26,11 @@ def ctx():
     ]
     dataset = Dataset("mi", records, certs)
     config = SnapsConfig()
-    graph = DependencyGraph(dataset)
+    # Nodes 0 and 1 are the pairs (1, 2) and (1, 3), with no atomic node.
+    graph = build_dependency_graph(dataset, [(1, 2), (1, 3)], config)
+    for attribute in graph.atom_ids:
+        for k in (0, 1):
+            graph.set_atomic(k, attribute, None)
     scorer = PairScorer(dataset, config)
     return dataset, config, graph, scorer
 
@@ -34,22 +38,17 @@ def ctx():
 class TestMustValuesDisagree:
     def test_present_and_dissimilar_is_disagreement(self, ctx):
         dataset, config, graph, scorer = ctx
-        node = RelationalNode(1, 2, (1, 2))
-        graph.add_node(node)
-        assert _must_values_disagree(graph, scorer, node)
+        assert _must_values_disagree(graph, scorer, 0)
 
     def test_atomic_node_means_agreement(self, ctx):
         dataset, config, graph, scorer = ctx
-        node = RelationalNode(1, 2, (1, 2))
-        node.atomic["first_name"] = AtomicNode("first_name", "mary", "mary", 1.0)
-        graph.add_node(node)
-        assert not _must_values_disagree(graph, scorer, node)
+        graph.set_atomic(0, "first_name", AtomicNode("first_name", "mary", "mary", 1.0))
+        assert not _must_values_disagree(graph, scorer, 0)
 
     def test_missing_value_is_not_disagreement(self, ctx):
         dataset, config, graph, scorer = ctx
-        node = RelationalNode(1, 3, (1, 3))  # record 3 has no first name
-        graph.add_node(node)
-        assert not _must_values_disagree(graph, scorer, node)
+        # Node 1 is (1, 3): record 3 has no first name.
+        assert not _must_values_disagree(graph, scorer, 1)
 
 
 class TestRefinementAfterMerge:

@@ -12,7 +12,7 @@ from repro.blocking.candidates import CandidatePair
 from repro.core import SnapsConfig
 from repro.core.bootstrap import bootstrap_merge
 from repro.core.constraints import ConstraintChecker
-from repro.core.dependency_graph import AtomicNode, RelationalNode, build_dependency_graph
+from repro.core.dependency_graph import AtomicNode, build_dependency_graph
 from repro.core.entities import EntityStore
 from repro.core.merging import iterative_merge
 from repro.core.scoring import PairScorer
@@ -39,11 +39,16 @@ class TestSection423WorkedExample:
         ]
         dataset = Dataset("ex", records, certs)
         scorer = PairScorer(dataset, SnapsConfig())
-        node = RelationalNode(1, 2, (1, 2))
-        node.atomic["first_name"] = AtomicNode("first_name", "mary", "mary", 1.0)
-        node.atomic["surname"] = AtomicNode("surname", "tayler", "taylor", 0.9)
-        node.atomic["parish"] = AtomicNode("parish", "klmor", "kilmore", 0.9)
-        assert scorer.atomic_similarity(node) == pytest.approx(0.95)
+        graph = build_dependency_graph(dataset, [CandidatePair(1, 2)], SnapsConfig())
+        # The example's similarities, in place of the comparators' own.
+        for atomic in (
+            AtomicNode("first_name", "mary", "mary", 1.0),
+            AtomicNode("surname", "tayler", "taylor", 0.9),
+            AtomicNode("parish", "klmor", "kilmore", 0.9),
+        ):
+            graph.set_atomic(0, atomic.attribute, atomic)
+        assert set(graph.atomic(0)) == {"first_name", "surname", "parish"}
+        assert scorer.atomic_similarity(graph, 0) == pytest.approx(0.95)
 
     def test_disambiguation_similarity_formula(self):
         """Eq. (2) with |O| = 100 and frequencies 45 + 12 gives ≈ 0.12."""
@@ -71,8 +76,8 @@ class TestSection423WorkedExample:
         scorer = PairScorer(
             dataset, SnapsConfig(), frequency_index=_Frequencies()
         )
-        node = RelationalNode(1, 2, (1, 2))
-        assert scorer.disambiguation_similarity(node) == pytest.approx(
+        graph = build_dependency_graph(dataset, [CandidatePair(1, 2)], SnapsConfig())
+        assert scorer.disambiguation_similarity(graph, 0) == pytest.approx(
             expected, abs=1e-9
         )
 
@@ -117,14 +122,14 @@ class TestFigure4Scenario:
         store = EntityStore(scenario)
         store.merge(1, 9)  # the paper's starting assumption
         scorer = PairScorer(scenario, config)
-        node = graph.node((1, 4))
+        assert graph.key(0) == (1, 4)
         # Before propagation: smith vs taylor disagree on the surname.
-        assert "surname" not in node.atomic
-        before = scorer.atomic_similarity(node)
-        scorer.propagate_values(graph, node, store)
+        assert "surname" not in graph.atomic(0)
+        before = scorer.atomic_similarity(graph, 0)
+        scorer.propagate_values(graph, 0, store)
         # After propagation the node carries the (tayler, taylor) pair.
-        assert node.atomic["surname"].key()[1:] == ("tayler", "taylor")
-        after = scorer.atomic_similarity(node)
+        assert graph.atomic(0)["surname"].key()[1:] == ("tayler", "taylor")
+        after = scorer.atomic_similarity(graph, 0)
         assert after > before
         assert after >= config.merge_threshold
 
@@ -137,8 +142,8 @@ class TestFigure4Scenario:
         store = EntityStore(scenario)
         store.merge(1, 9)
         scorer = PairScorer(scenario, config)
-        node = graph.node((1, 4))
-        assert scorer.atomic_similarity(node) < config.merge_threshold
+        assert graph.key(0) == (1, 4)
+        assert scorer.atomic_similarity(graph, 0) < config.merge_threshold
 
 
 class TestSection422Constraints:

@@ -10,7 +10,7 @@ worker counts.
 
 from __future__ import annotations
 
-import gc
+import math
 import string
 
 import pytest
@@ -25,9 +25,6 @@ from repro.core.config import SnapsConfig
 from repro.core.constraints import ConstraintChecker
 from repro.core.dependency_graph import (
     AtomicNode,
-    DependencyGraph,
-    RelationalNode,
-    _group_edges,
     build_dependency_graph,
     build_graph_and_seeds,
 )
@@ -136,15 +133,41 @@ class TestEmptySignatureSentinel:
 # ----------------------------------------------------------------------
 
 
+def oracle_edges(dataset, group_key, present):
+    """Relationship edges of one certificate-pair group, read pair by
+    pair from the two certificates' relationships (Figure 3)."""
+    cert_a = dataset.certificates[group_key[0]]
+    cert_b = dataset.certificates[group_key[1]]
+    edges = []
+    for ra, rel_a, rb in cert_a.relationships():
+        for rc, rel_b, rd in cert_b.relationships():
+            if rel_a != rel_b:
+                continue
+            key_left, key_right = tuple(sorted((ra, rc))), tuple(sorted((rb, rd)))
+            if key_left in present and key_right in present:
+                edges.append((key_left, rel_a, key_right))
+            if rel_a == "Sof":
+                key_left, key_right = tuple(sorted((ra, rd))), tuple(sorted((rb, rc)))
+                if key_left in present and key_right in present:
+                    edges.append((key_left, "Sof", key_right))
+    return edges
+
+
 def oracle_graph(dataset, pairs, config, registry):
-    """G_D built one pair at a time: the reference the array build must
-    reproduce, with its per-value-pair comparator cache."""
-    graph = DependencyGraph(dataset)
+    """G_D built one pair at a time in plain Python containers: the
+    reference the array build must reproduce, with its per-value-pair
+    comparator cache.  Returns each node's record pair and atomic nodes
+    (in node order), the groups' node ids by certificate pair (in first
+    appearance order), each group's edges, the comparator cache and the
+    registered atomic keys."""
+    keys, atoms = [], []
+    groups: dict[tuple[int, int], list[int]] = {}
     sim_cache: dict[tuple[str, str, str], float] = {}
-    for pair in pairs:
+    registered = set()
+    for k, pair in enumerate(pairs):
         a, b = dataset.record(pair.rid_a), dataset.record(pair.rid_b)
-        group_key = tuple(sorted((a.cert_id, b.cert_id)))
-        node = RelationalNode(rid_a=pair.rid_a, rid_b=pair.rid_b, group=group_key)
+        groups.setdefault(tuple(sorted((a.cert_id, b.cert_id))), []).append(k)
+        atomic = {}
         for attribute in config.schema.names():
             value_a, value_b = a.get(attribute), b.get(attribute)
             if value_a is None or value_b is None:
@@ -155,13 +178,15 @@ def oracle_graph(dataset, pairs, config, registry):
                 similarity = registry.compare(attribute, value_a, value_b) or 0.0
                 sim_cache[(attribute, lo, hi)] = similarity
             if similarity >= config.atomic_threshold:
-                node.atomic[attribute] = AtomicNode(
-                    attribute, value_a, value_b, similarity
-                )
-        graph.add_node(node)
-    for group in graph.groups.values():
-        _group_edges(graph, group)
-    return graph, sim_cache
+                atomic[attribute] = AtomicNode(attribute, value_a, value_b, similarity)
+                registered.add((attribute, lo, hi))
+        keys.append(pair.key())
+        atoms.append(atomic)
+    edges = {
+        key: oracle_edges(dataset, key, {keys[k] for k in members})
+        for key, members in groups.items()
+    }
+    return keys, atoms, groups, edges, sim_cache, registered
 
 
 def dated(record) -> bool:
@@ -242,50 +267,46 @@ class TestGraphBuildOracle:
         if custom:
             registry.register("first_name", ordered_similarity)
         frequencies = NameFrequencyIndex(dataset)
-        expected, sim_cache = oracle_graph(dataset, pairs, config, registry)
+        keys, atoms, groups, edges, sim_cache, registered = oracle_graph(
+            dataset, pairs, config, registry
+        )
         graph, seeds = build_graph_and_seeds(
             dataset, pairs, config, registry, frequencies
         )
 
-        assert list(graph.nodes) == list(expected.nodes)
-        assert list(graph.groups) == list(expected.groups)
-        for key, group in expected.groups.items():
-            assert graph.groups[key].node_keys == group.node_keys
-            assert graph.groups[key].edges == group.edges
-        for key, node in expected.nodes.items():
-            other = graph.nodes[key]
-            assert other.group == node.group
+        assert graph.keys() == keys
+        assert [tuple(key) for key in graph.group_keys.tolist()] == list(groups)
+        for g, (key, members) in enumerate(groups.items()):
+            assert graph.group_members(g).tolist() == members
+            assert graph.group_edges(g) == edges[key]
+        for k, atomic in enumerate(atoms):
             # Orientation included: AtomicNode equality compares values.
-            assert list(other.atomic.items()) == list(node.atomic.items())
-        assert graph.n_atomic == expected.n_atomic
-        assert graph._atomic_registry == expected._atomic_registry
+            assert list(graph.atomic(k).items()) == list(atomic.items())
+        assert graph.n_atomic == len(registered)
+        assert graph._atomic_registry == registered
 
         assert seeds.sim_table == sim_cache
         scorer = PairScorer(dataset, config, registry, frequencies)
         checker = ConstraintChecker(config.temporal_slack_years)
-        node_scores, validity = {}, {}
-        for key, node in expected.nodes.items():
-            a, b = dataset.record(node.rid_a), dataset.record(node.rid_b)
+        s_a, s_d, verdict = [], [], []
+        for k, (rid_a, rid_b) in enumerate(keys):
+            a, b = dataset.record(rid_a), dataset.record(rid_b)
             both_dated = dated(a) and dated(b)
-            s_a = None
-            if half_life is None or both_dated:
-                s_a = scorer._atomic_similarity_uncached(node)
-            node_scores[key] = [s_a, scorer._disambiguation_similarity_uncached(node)]
+            s_a.append(
+                scorer._atomic_similarity_uncached(graph, k)
+                if half_life is None or both_dated
+                else math.nan
+            )
+            s_d.append(scorer._disambiguation_similarity_uncached(graph, k))
             if both_dated:
-                validity[key] = 0 if checker.records_compatible(a, b) else 1
-        assert seeds.node_scores == node_scores
-        assert seeds.pair_validity == validity
-
-    def test_builder_leaves_gc_state_alone(self, tiny):
-        pairs = SnapsResolver(SnapsConfig()).block(tiny)
-        gc.disable()
-        try:
-            build_graph_and_seeds(tiny, pairs, SnapsConfig())
-            assert not gc.isenabled()
-        finally:
-            gc.enable()
-        build_graph_and_seeds(tiny, pairs, SnapsConfig())
-        assert gc.isenabled()
+                verdict.append(0 if checker.records_compatible(a, b) else 1)
+            else:
+                verdict.append(-1)
+        # Bit for bit, an unseeded s_a's NaN included.
+        assert seeds.s_a.tobytes() == np.array(s_a, dtype=np.float64).tobytes()
+        assert seeds.s_d.tobytes() == np.array(s_d, dtype=np.float64).tobytes()
+        assert seeds.verdict.dtype == np.int8
+        assert seeds.verdict.tolist() == verdict
 
 
 class TestBatchScoreParity:
@@ -297,21 +318,23 @@ class TestBatchScoreParity:
         resolver = SnapsResolver(config)
         serial_pairs = resolver.block(tiny, parallel=ParallelConfig(workers=0))
         pairs = resolver.block(tiny, parallel=ParallelConfig(workers=1))
+        assert np.array_equal(pairs.array, serial_pairs.array)
         serial_graph = build_dependency_graph(
             tiny, serial_pairs, config, resolver.registry
         )
         parallel_graph, seeds = build_graph_and_seeds(
             tiny, pairs, config, resolver.registry
         )
-        assert set(parallel_graph.nodes) == set(serial_graph.nodes)
-        assert seeds.node_scores  # the build actually produced scores
+        assert parallel_graph.keys() == serial_graph.keys()
+        assert len(seeds.s_a)  # the build actually produced scores
         scorer = PairScorer(
             tiny, config, resolver.registry, NameFrequencyIndex(tiny)
         )
-        for key, node in serial_graph.nodes.items():
-            s_a, s_d = seeds.node_scores[key]
-            assert s_a == scorer._atomic_similarity_uncached(node)
-            assert s_d == scorer._disambiguation_similarity_uncached(node)
+        for k in range(serial_graph.n_relational):
+            assert seeds.s_a[k] == scorer._atomic_similarity_uncached(serial_graph, k)
+            assert seeds.s_d[k] == scorer._disambiguation_similarity_uncached(
+                serial_graph, k
+            )
 
     def test_parallel_graph_structure_matches_serial(self, tiny):
         config = SnapsConfig()
@@ -328,15 +351,13 @@ class TestBatchScoreParity:
             config,
             resolver.registry,
         )
-        assert list(parallel.nodes) == list(serial.nodes)  # insertion order
+        assert parallel.keys() == serial.keys()  # node order
         assert parallel.n_atomic == serial.n_atomic
-        for key, node in serial.nodes.items():
-            other = parallel.nodes[key]
-            assert other.group == node.group
-            assert set(other.atomic) == set(node.atomic)
-            for name, atomic in node.atomic.items():
-                assert other.atomic[name].key() == atomic.key()
-                assert other.atomic[name].similarity == atomic.similarity
+        assert np.array_equal(parallel.group_keys, serial.group_keys)
+        assert np.array_equal(parallel.group_offsets, serial.group_offsets)
+        assert np.array_equal(parallel.group_nodes, serial.group_nodes)
+        for k in range(serial.n_relational):
+            assert parallel.atomic(k) == serial.atomic(k)
 
 
 # ----------------------------------------------------------------------
